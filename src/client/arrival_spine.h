@@ -33,10 +33,11 @@ struct ArrivalScratch {
 /// Fills `out` with consecutive arrivals drawn from `*next_arrival` up to
 /// (and including) `horizon`, at most Capacity() of them. Returns the
 /// count, advances `*next_arrival` past the last filled arrival (or to the
-/// first arrival beyond the horizon), and leaves `rng` exactly where the
-/// scalar loop would: per arrival the draw order is page (alias bucket +
-/// acceptance), steady coin, think interval — the same interleaving as
-/// VirtualClient's one-at-a-time path, so trajectories are bit-identical.
+/// first arrival beyond the horizon), and leaves `rng` exactly where a
+/// one-at-a-time loop would: per arrival the draw order is page (alias
+/// bucket + acceptance), steady coin, think interval — the same
+/// interleaving as VirtualClient's unfused path, so trajectories are
+/// bit-identical.
 /// The RNG state lives in a local (register-resident) copy across the
 /// loop; nothing else is read or written, so the batch is a pure function
 /// of (rng, next_arrival).
@@ -64,11 +65,6 @@ inline std::size_t FillArrivalBatch(const workload::AccessGenerator& generator,
   *next_arrival = next;
   return n;
 }
-
-/// `sim.arrival_spine = auto` resolution: on, unless the
-/// BDISK_ARRIVAL_SPINE environment variable says "off". Read once per
-/// process (same one-shot contract as sim::DefaultQueueKind).
-bool DefaultArrivalSpineOn();
 
 }  // namespace bdisk::client
 

@@ -19,7 +19,6 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
       warm_cached_(pattern.DbSize(), false),
       ideal_warm_(pattern.DbSize(), false),
       rng_(rng),
-      spine_(options.fused && options.spine),
       snapshot_(server->program()) {
   BDISK_CHECK_MSG(simulator != nullptr, "client needs a simulator");
   BDISK_CHECK_MSG(server != nullptr, "client needs a server");
@@ -35,7 +34,7 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
     warm_cached_[p] = true;
     ideal_warm_[p] = true;
   }
-  if (spine_) {
+  if (options.fused) {
     // Whole-cycle threshold-decision table: one bit test per arrival
     // instead of an occurrence search. Null (empty program, or a
     // degenerate cycle too large for the bitset) falls back to the
@@ -72,25 +71,12 @@ void VirtualClient::OnInvalidate(PageId page, sim::SimTime /*now*/) {
 
 std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
   if (next_arrival_ > horizon) return 0;
-  // The VC arrival hot path (ROADMAP): one frame per non-empty drain,
-  // arrivals as ops — never a per-arrival timestamp. The frame semantics
-  // are identical for the scalar and spine drains.
+  // The VC arrival hot path: one frame per non-empty drain, arrivals as
+  // ops — never a per-arrival timestamp.
   obs::PhaseScope prof(simulator_->phase_profiler(),
                        obs::Phase::kVcArrival);
-  const std::uint64_t processed =
-      spine_ ? DrainSpine(horizon) : DrainScalar(horizon);
+  const std::uint64_t processed = DrainSpine(horizon);
   prof.AddOps(processed);
-  return processed;
-}
-
-std::uint64_t VirtualClient::DrainScalar(sim::SimTime horizon) {
-  std::uint64_t processed = 0;
-  while (next_arrival_ <= horizon) {
-    const sim::SimTime at = next_arrival_;
-    ProcessArrival(at);
-    next_arrival_ = at + think_.Next(rng_);
-    ++processed;
-  }
   return processed;
 }
 
@@ -142,7 +128,7 @@ std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon) {
     filtered += miss & (pull ^ 1U);
     // Steady misses re-fetch: the page re-enters the represented warm
     // caches iff it belongs to the warm set. (warm ⊆ ideal always, so
-    // OR-ing the re-fetch bit equals the scalar path's assignment.)
+    // OR-ing the re-fetch bit equals ProcessArrival's assignment.)
     warm[page] = static_cast<std::uint8_t>(w | (miss & s & ideal[page]));
     if ((miss & pull) != 0U) {
       // SubmitRequestAt never re-enters the VC (it does not drain lazy

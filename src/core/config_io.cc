@@ -115,30 +115,6 @@ std::string ApplyConfigOption(const std::string& raw_key,
     }
     return "";
   }
-  if (key == "kernel.queue") {
-    if (value == "auto") {
-      config->kernel_queue = KernelQueue::kAuto;
-    } else if (value == "heap") {
-      config->kernel_queue = KernelQueue::kHeap;
-    } else if (value == "wheel") {
-      config->kernel_queue = KernelQueue::kWheel;
-    } else {
-      return "kernel.queue must be auto, heap, or wheel";
-    }
-    return "";
-  }
-  if (key == "sim.arrival_spine") {
-    if (value == "auto") {
-      config->arrival_spine = ArrivalSpine::kAuto;
-    } else if (value == "on") {
-      config->arrival_spine = ArrivalSpine::kOn;
-    } else if (value == "off") {
-      config->arrival_spine = ArrivalSpine::kOff;
-    } else {
-      return "sim.arrival_spine must be auto, on, or off";
-    }
-    return "";
-  }
   if (key == "disk_sizes") {
     return ParseU32List(value, &config->disks.sizes) ? "" : bad_value();
   }
@@ -305,7 +281,6 @@ std::string ApplyConfigOption(const std::string& raw_key,
       {"vc_enabled", &config->vc_enabled},
       {"vc_fusion", &config->vc_fusion},
       {"mc_prefetch", &config->mc_prefetch},
-      {"kernel.batch_slots", &config->kernel_batch_slots},
       {"adaptive_pull_bw", &config->adaptive_pull_bw},
       {"adaptive_threshold", &config->adaptive_threshold},
   };
@@ -401,18 +376,6 @@ std::string ConfigToText(const SystemConfig& config) {
       << (config.adaptive_pull_bw ? "true" : "false") << "\n";
   out << "adaptive_threshold = "
       << (config.adaptive_threshold ? "true" : "false") << "\n";
-  out << "kernel.queue = "
-      << (config.kernel_queue == KernelQueue::kHeap    ? "heap"
-          : config.kernel_queue == KernelQueue::kWheel ? "wheel"
-                                                       : "auto")
-      << "\n";
-  out << "kernel.batch_slots = "
-      << (config.kernel_batch_slots ? "true" : "false") << "\n";
-  out << "sim.arrival_spine = "
-      << (config.arrival_spine == ArrivalSpine::kOn    ? "on"
-          : config.arrival_spine == ArrivalSpine::kOff ? "off"
-                                                       : "auto")
-      << "\n";
   out << "obs_window = " << config.obs_window << "\n";
   if (!config.flight_recorder.empty()) {
     out << "flight_recorder = " << config.flight_recorder << "\n";

@@ -282,8 +282,6 @@ std::string PhaseProfiler::ToProfJson() {
   w.BeginObject();
   w.Key("schema");
   w.Value("bdisk-prof-v1");
-  w.Key("backend");
-  w.Value(backend_);
   w.Key("clock");
   w.Value(ClockName());
   w.Key("ns_per_tick");

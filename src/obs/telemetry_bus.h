@@ -65,7 +65,7 @@ class TelemetryBus {
 
   /// Lifecycle edges. `provenance` is a list of key/value pairs describing
   /// the run (mode, seed, ...); keep it to trajectory-relevant fields so
-  /// kernel-backend knobs don't break cross-matrix frame identity.
+  /// fused and unfused runs of one configuration stream identical frames.
   void EmitRunStart(
       sim::SimTime now,
       const std::vector<std::pair<std::string, std::string>>& provenance);

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,7 +80,9 @@ bool ParseDouble(std::string_view field, double* out) {
   buf[field.size()] = '\0';
   char* end = nullptr;
   *out = std::strtod(buf, &end);
-  return end == buf + field.size();
+  // Slot times are finite: "nan", "inf" and overflowing exponents are
+  // malformed, not a clock value.
+  return end == buf + field.size() && std::isfinite(*out);
 }
 
 bool ParsePage(std::string_view field, PageId* out) {

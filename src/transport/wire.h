@@ -97,7 +97,8 @@ void FormatFin(const std::string& reason, std::string* out);
 
 /// Parses one datagram payload. Returns false (and sets `error`) on
 /// malformed input: wrong magic, unknown verb, bad field count, or
-/// unparsable numbers. A false return leaves `*out` unspecified.
+/// unparsable numbers (a non-finite slot time included). A false return
+/// leaves `*out` unspecified.
 bool ParseMessage(std::string_view datagram, Message* out, std::string* error);
 
 }  // namespace bdisk::transport::wire

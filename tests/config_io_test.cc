@@ -135,26 +135,6 @@ TEST(ConfigIoTest, ObservabilityKeysApplyAndRoundTrip) {
   EXPECT_EQ(parsed.flight_recorder, "p99>120");
 }
 
-TEST(ConfigIoTest, ArrivalSpineKeyAppliesAndRoundTrips) {
-  SystemConfig config;
-  EXPECT_EQ(ApplyConfigOption("sim.arrival_spine", "on", &config), "");
-  EXPECT_EQ(config.arrival_spine, ArrivalSpine::kOn);
-  EXPECT_EQ(ApplyConfigOption("sim.arrival_spine", "off", &config), "");
-  EXPECT_EQ(config.arrival_spine, ArrivalSpine::kOff);
-  EXPECT_EQ(ApplyConfigOption("sim.arrival_spine", "auto", &config), "");
-  EXPECT_EQ(config.arrival_spine, ArrivalSpine::kAuto);
-  EXPECT_EQ(ApplyConfigOption("sim.arrival_spine", "fast", &config),
-            "sim.arrival_spine must be auto, on, or off");
-
-  for (const ArrivalSpine value :
-       {ArrivalSpine::kAuto, ArrivalSpine::kOn, ArrivalSpine::kOff}) {
-    config.arrival_spine = value;
-    SystemConfig parsed;
-    ASSERT_EQ(ParseConfigText(ConfigToText(config), &parsed), "");
-    EXPECT_EQ(parsed.arrival_spine, value);
-  }
-}
-
 TEST(ConfigIoTest, ObservabilityKeysRejectBadValuesWithSpecificErrors) {
   SystemConfig config;
   EXPECT_EQ(ApplyConfigOption("obs_window", "0", &config),

@@ -1,12 +1,10 @@
-// Kernel-matrix invariance: the event-queue backend (`kernel.queue`),
-// batched slot execution (`kernel.batch_slots`), and the batched arrival
-// spine (`sim.arrival_spine`) are pure wall-clock knobs. Every cell of the
-// {heap, wheel} x {batched, stepped} x {spine on, off} matrix must produce
-// the bit-identical simulated trajectory — metrics, counters, and the full
-// trace stream — fused or unfused, with and without an active fault plan.
-// CI runs the whole suite under BDISK_KERNEL_QUEUE=heap and =wheel (and a
-// BDISK_ARRIVAL_SPINE=on TSan leg) on top of this, so the matrix is pinned
-// both in-process and across processes.
+// Kernel-matrix invariance: the fused virtual client (its batched arrival
+// spine drained at lazy-source barriers, under batched slot spans) must
+// produce the bit-identical simulated trajectory — metrics, counters, and
+// the full trace stream — as the unfused reference, where every VC arrival
+// is its own heap event. The pair is pinned with and without an active
+// fault plan, under volatile data and both controllers, and with every
+// observer attached.
 
 #include <cstdint>
 #include <memory>
@@ -27,29 +25,13 @@
 namespace bdisk {
 namespace {
 
-struct Cell {
-  core::KernelQueue queue;
-  bool batch;
-  bool spine;
-};
+// A cell is the vc_fusion setting: the fused spine first, then the
+// unfused reference it is compared against.
+using Cell = bool;
+const Cell kMatrix[] = {true, false};
 
-const Cell kMatrix[] = {
-    {core::KernelQueue::kHeap, true, true},
-    {core::KernelQueue::kHeap, true, false},
-    {core::KernelQueue::kHeap, false, true},
-    {core::KernelQueue::kHeap, false, false},
-    {core::KernelQueue::kWheel, true, true},
-    {core::KernelQueue::kWheel, true, false},
-    {core::KernelQueue::kWheel, false, true},
-    {core::KernelQueue::kWheel, false, false},
-};
-
-std::string CellName(const Cell& cell) {
-  std::string name =
-      cell.queue == core::KernelQueue::kHeap ? "heap" : "wheel";
-  name += cell.batch ? "/batched" : "/stepped";
-  name += cell.spine ? "/spine" : "/scalar";
-  return name;
+std::string CellName(Cell fused) {
+  return fused ? "fused-spine" : "unfused-reference";
 }
 
 core::SteadyStateProtocol SmallProtocol() {
@@ -77,18 +59,13 @@ core::SystemConfig SmallLoadedConfig() {
   return config;
 }
 
-// Pins the cell explicitly (kOn/kOff, never kAuto) so the in-process
-// matrix is immune to the BDISK_ARRIVAL_SPINE environment override.
-void ApplyCell(core::SystemConfig* config, const Cell& cell) {
-  config->kernel_queue = cell.queue;
-  config->kernel_batch_slots = cell.batch;
-  config->arrival_spine =
-      cell.spine ? core::ArrivalSpine::kOn : core::ArrivalSpine::kOff;
+void ApplyCell(core::SystemConfig* config, Cell fused) {
+  config->vc_fusion = fused;
 }
 
-// Trajectory fields only: kernel accounting is compared separately, since
-// profile counters (heap high water, stale-discard timing, span counts) are
-// backend-specific by design.
+// Trajectory fields only: profile counters (heap high water, stale-discard
+// timing, span counts, fused arrivals) differ between the fused and
+// unfused paths by design.
 void ExpectSameTrajectory(const core::RunResult& a, const core::RunResult& b,
                           const std::string& label) {
   SCOPED_TRACE(label);
@@ -128,39 +105,41 @@ void ExpectSameTrajectory(const core::RunResult& a, const core::RunResult& b,
   EXPECT_EQ(a.idle_slot_frac, b.idle_slot_frac);
   EXPECT_EQ(a.sim_time_end, b.sim_time_end);
   EXPECT_EQ(a.converged, b.converged);
-  // Dispatched-event count is part of the trajectory contract: the span
-  // loop must count occurrences exactly like per-event stepping, and the
-  // backend must never execute a stale carcass.
-  EXPECT_EQ(a.kernel.events_executed, b.kernel.events_executed);
-  EXPECT_EQ(a.kernel.lazy_arrivals_fused, b.kernel.lazy_arrivals_fused);
+  // Every slot occurrence is counted, whether a batched span or Pop()
+  // fired it, and each fused arrival stands for exactly one unfused event.
   EXPECT_EQ(a.kernel.periodic_rearms, b.kernel.periodic_rearms);
+  EXPECT_EQ(a.kernel.events_executed + a.kernel.lazy_arrivals_fused,
+            b.kernel.events_executed + b.kernel.lazy_arrivals_fused);
 }
 
-void ExpectMatrixInvariant(const core::SystemConfig& config) {
+// Runs every cell of the matrix on `config`, checks each against the
+// first, and returns the results in kMatrix order.
+std::vector<core::RunResult> ExpectMatrixInvariant(
+    const core::SystemConfig& config) {
+  std::vector<core::RunResult> results;
   std::optional<core::RunResult> reference;
   for (std::size_t i = 0; i < std::size(kMatrix); ++i) {
     core::SystemConfig cell_config = config;
     ApplyCell(&cell_config, kMatrix[i]);
     core::System system(cell_config);
     const core::RunResult cell = system.RunSteadyState(SmallProtocol());
-    // Spine cells actually take spine drains — unless something (unfused
-    // VC, fault request_delay) bypasses the fused path, in which case
-    // they must not take any.
+    // The fused cell actually takes spine drains — unless fault
+    // request_delay forces the unfused path, in which case it must not
+    // take any.
     if (system.vc() != nullptr) {
-      const bool engaged = kMatrix[i].spine && system.vc()->Fused();
-      EXPECT_EQ(system.vc()->SpineActive(), engaged) << CellName(kMatrix[i]);
-      if (engaged) {
+      if (system.vc()->Fused()) {
         EXPECT_GT(system.vc()->SpineBatches(), 0U) << CellName(kMatrix[i]);
+        EXPECT_GT(cell.kernel.lazy_arrivals_fused, 0U)
+            << CellName(kMatrix[i]);
       } else {
         EXPECT_EQ(system.vc()->SpineBatches(), 0U) << CellName(kMatrix[i]);
+        EXPECT_EQ(cell.kernel.lazy_arrivals_fused, 0U)
+            << CellName(kMatrix[i]);
       }
     }
-    // Batched cells actually batch; stepped cells actually step.
-    if (kMatrix[i].batch) {
-      EXPECT_GT(cell.kernel.periodic_spans, 0U) << CellName(kMatrix[i]);
-    } else {
-      EXPECT_EQ(cell.kernel.periodic_spans, 0U) << CellName(kMatrix[i]);
-    }
+    // Both cells run the slot loop in batched spans.
+    EXPECT_GT(cell.kernel.periodic_spans, 0U) << CellName(kMatrix[i]);
+    results.push_back(cell);
     if (!reference.has_value()) {
       reference = cell;
       continue;
@@ -168,25 +147,38 @@ void ExpectMatrixInvariant(const core::SystemConfig& config) {
     ExpectSameTrajectory(*reference, cell,
                          CellName(kMatrix[0]) + " vs " + CellName(kMatrix[i]));
   }
+  return results;
 }
 
+// The two cells are the two ways the one kernel carries VC load: arrivals
+// batched on the spine inside long slot spans, or every arrival a heap
+// event that cuts the span short.
 TEST(KernelMatrixTest, TrajectoryInvariantAcrossQueueAndBatching) {
   ExpectMatrixInvariant(SmallLoadedConfig());
 }
 
 TEST(KernelMatrixTest, TrajectoryInvariantUnfused) {
   // The unfused VC path schedules every arrival as a one-shot — far more
-  // churn through the wheel buckets, and spans break at every arrival.
+  // churn through the heap, and spans break at every arrival. A heavier
+  // VC (think-time ratio 250) makes arrivals outnumber slots; the
+  // reference must really take that path and still match the fused cell.
   core::SystemConfig config = SmallLoadedConfig();
-  config.vc_fusion = false;
-  ExpectMatrixInvariant(config);
+  config.think_time_ratio = 250.0;
+  const std::vector<core::RunResult> results = ExpectMatrixInvariant(config);
+  ASSERT_EQ(results.size(), 2U);
+  const core::RunResult& fused = results[0];
+  const core::RunResult& unfused = results[1];
+  EXPECT_GT(fused.kernel.lazy_arrivals_fused, fused.kernel.periodic_rearms);
+  EXPECT_EQ(unfused.kernel.events_executed,
+            fused.kernel.events_executed + fused.kernel.lazy_arrivals_fused);
+  EXPECT_GT(unfused.kernel.periodic_spans, fused.kernel.periodic_spans);
 }
 
 TEST(KernelMatrixTest, TrajectoryInvariantWithActiveFaultPlan) {
   // An *active* plan: fault code draws randomness, injects slot loss and
   // outages, delays requests, and drives the MC retry/timeout engine —
-  // all of it must land identically on every matrix cell. (The inert-plan
-  // case is the default-config test above; see ROBUSTNESS.md.)
+  // all of it must land identically on both cells. (The inert-plan case is
+  // the default-config test above; see ROBUSTNESS.md.)
   core::SystemConfig config = SmallLoadedConfig();
   config.fault.slot_loss = 0.05;
   config.fault.request_loss = 0.05;
@@ -211,9 +203,9 @@ TEST(KernelMatrixTest, TrajectoryInvariantWithUpdatesAndAdaptation) {
 }
 
 // fault.request_delay forces the unfused VC path (delayed arrivals need
-// their own heap events), which must bypass the spine entirely no matter
-// what `sim.arrival_spine` asks for — and the bypassed run must still be
-// bit-identical to an explicit spine-off run.
+// their own heap events), which must bypass the spine entirely even with
+// vc_fusion on — and the bypassed run must still be bit-identical to an
+// explicit vc_fusion=false run.
 TEST(KernelMatrixTest, FaultDelayForcesUnfusedAndBypassesSpine) {
   core::SystemConfig config = SmallLoadedConfig();
   config.update_rate = 0.2;
@@ -221,23 +213,22 @@ TEST(KernelMatrixTest, FaultDelayForcesUnfusedAndBypassesSpine) {
   ASSERT_TRUE(config.fault.Enabled());
   ASSERT_EQ(config.Validate(), "");
 
-  config.arrival_spine = core::ArrivalSpine::kOn;
+  config.vc_fusion = true;
   core::System forced(config);
   ASSERT_NE(forced.vc(), nullptr);
   EXPECT_FALSE(forced.vc()->Fused());
-  EXPECT_FALSE(forced.vc()->SpineActive());
   const core::RunResult on = forced.RunSteadyState(SmallProtocol());
   EXPECT_EQ(forced.vc()->SpineBatches(), 0U);
 
-  config.arrival_spine = core::ArrivalSpine::kOff;
+  config.vc_fusion = false;
   core::System off_system(config);
   const core::RunResult off = off_system.RunSteadyState(SmallProtocol());
-  ExpectSameTrajectory(on, off, "forced-unfused spine on vs off");
+  ExpectSameTrajectory(on, off, "forced-unfused vc_fusion on vs off");
 }
 
 // The strongest pin: the complete trace stream — every span record, in
 // order, with timestamps and payloads — must be byte-for-byte identical
-// across the matrix.
+// between the fused spine and the unfused reference.
 TEST(KernelMatrixTest, TraceStreamsIdenticalAcrossMatrix) {
   core::SystemConfig config = SmallLoadedConfig();
   config.update_rate = 0.2;
@@ -273,7 +264,7 @@ TEST(KernelMatrixTest, TraceStreamsIdenticalAcrossMatrix) {
 }
 
 // Profiler arm: attaching the wall-clock phase profiler is a pure
-// wall-clock knob too. Every matrix cell must produce the bit-identical
+// wall-clock knob. Both cells must produce the bit-identical
 // RunResult *and* trace stream with the profiler attached as without —
 // under an active fault plan, so the fault.judge instrumentation sites
 // (which straddle the injector's RNG draws) are exercised.
@@ -286,7 +277,7 @@ TEST(KernelMatrixTest, ProfilerAttachLeavesTrajectoryBitIdentical) {
   config.fault.mc_timeout = 50.0;
   ASSERT_TRUE(config.fault.Enabled());
 
-  for (const Cell& cell : kMatrix) {
+  for (const Cell cell : kMatrix) {
     ApplyCell(&config, cell);
 
     core::System plain(config);
@@ -328,11 +319,11 @@ TEST(KernelMatrixTest, ProfilerAttachLeavesTrajectoryBitIdentical) {
 }
 
 // Telemetry-bus arm: streaming bdisk-frame-v1 frames is a pure observer
-// too. Every matrix cell must produce the bit-identical RunResult *and*
-// trace stream with the bus attached as without — and, because frame
-// provenance carries only trajectory-relevant fields (never kernel-backend
-// knobs) and the wall clock is suppressed, the frame streams themselves
-// must be byte-identical across all eight cells.
+// too. Both cells must produce the bit-identical RunResult *and* trace
+// stream with the bus attached as without — and, because frame provenance
+// carries only trajectory-relevant fields (never vc_fusion) and the wall
+// clock is suppressed, the frame streams themselves must be byte-identical
+// between the cells.
 TEST(KernelMatrixTest, TelemetryBusAttachLeavesTrajectoryBitIdentical) {
   core::SystemConfig config = SmallLoadedConfig();
   config.fault.slot_loss = 0.05;
@@ -340,7 +331,7 @@ TEST(KernelMatrixTest, TelemetryBusAttachLeavesTrajectoryBitIdentical) {
   ASSERT_TRUE(config.fault.Enabled());
 
   std::vector<std::string> reference_frames;
-  for (const Cell& cell : kMatrix) {
+  for (const Cell cell : kMatrix) {
     ApplyCell(&config, cell);
 
     core::System plain(config);
@@ -382,7 +373,7 @@ TEST(KernelMatrixTest, TelemetryBusAttachLeavesTrajectoryBitIdentical) {
       ASSERT_GT(reference_frames.size(), 2U);
       continue;
     }
-    // Byte-identical frames across kernel backends.
+    // Byte-identical frames, fused or unfused.
     EXPECT_EQ(capture->frames(), reference_frames) << CellName(cell);
   }
 }

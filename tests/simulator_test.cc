@@ -161,13 +161,22 @@ TEST(SimulatorTest, PeriodicInterleavesWithOneShotsDeterministically) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0}));
 }
 
+// Runs `sim` until `deadline`: through RunUntil() (batched slot spans), or
+// as the stepped reference, a plain Step() loop. `deadline` must be a fire
+// time of the workload's periodic timer, so the last Step() lands on it.
+void RunTo(Simulator* sim, SimTime deadline, bool batched) {
+  if (batched) {
+    sim->RunUntil(deadline);
+    return;
+  }
+  while (sim->Now() < deadline) ASSERT_TRUE(sim->Step());
+}
+
 // Runs a workload that mixes one periodic slot timer with handler-driven
 // one-shot scheduling (the System's actual shape) and records every fire.
-// `batched` toggles the span fast path; the trace must not depend on it.
-std::vector<double> RunMixedWorkload(QueueKind kind, bool batched,
-                                     std::uint64_t* spans_out) {
-  Simulator sim(kind);
-  sim.SetBatchedPeriodic(batched);
+// The trace must not depend on whether RunUntil's spans or Step() ran it.
+std::vector<double> RunMixedWorkload(bool batched, std::uint64_t* spans_out) {
+  Simulator sim;
   std::vector<double> trace;
   // The periodic handler occasionally schedules a one-shot (a "pull
   // arrival") that lands mid-span and must break the batch exactly there.
@@ -188,24 +197,20 @@ std::vector<double> RunMixedWorkload(QueueKind kind, bool batched,
   handler.sim = &sim;
   handler.trace = &trace;
   sim.SchedulePeriodic(1.0, &handler);
-  sim.RunUntil(500.0);
+  RunTo(&sim, 500.0, batched);
   EXPECT_EQ(sim.Now(), 500.0);
   if (spans_out != nullptr) *spans_out = sim.PeriodicSpans();
   return trace;
 }
 
 TEST(SimulatorTest, BatchedPeriodicSpansMatchSteppedExecution) {
-  for (const QueueKind kind : {QueueKind::kHeap, QueueKind::kWheel}) {
-    std::uint64_t batched_spans = 0;
-    std::uint64_t stepped_spans = 0;
-    const std::vector<double> batched =
-        RunMixedWorkload(kind, /*batched=*/true, &batched_spans);
-    const std::vector<double> stepped =
-        RunMixedWorkload(kind, /*batched=*/false, &stepped_spans);
-    EXPECT_EQ(batched, stepped);  // Bit-identical trajectory.
-    EXPECT_GT(batched_spans, 0U);  // The fast path actually engaged...
-    EXPECT_EQ(stepped_spans, 0U);  // ...and the A/B switch actually works.
-  }
+  std::uint64_t batched_spans = 0;
+  const std::vector<double> batched =
+      RunMixedWorkload(/*batched=*/true, &batched_spans);
+  const std::vector<double> stepped =
+      RunMixedWorkload(/*batched=*/false, nullptr);
+  EXPECT_EQ(batched, stepped);   // Bit-identical trajectory.
+  EXPECT_GT(batched_spans, 0U);  // The fast path actually engaged.
 }
 
 TEST(SimulatorTest, BatchedSpanCountsEventsIdentically) {
@@ -213,10 +218,9 @@ TEST(SimulatorTest, BatchedSpanCountsEventsIdentically) {
   // the span loop must bump it exactly like Step() would.
   for (const bool batched : {true, false}) {
     Simulator sim;
-    sim.SetBatchedPeriodic(batched);
     PeriodicCounter counter(&sim);
     sim.SchedulePeriodic(2.0, &counter);
-    sim.RunUntil(100.0);
+    RunTo(&sim, 100.0, batched);
     EXPECT_EQ(sim.EventsExecuted(), 50U);
     EXPECT_EQ(counter.fire_times.size(), 50U);
   }
@@ -224,7 +228,6 @@ TEST(SimulatorTest, BatchedSpanCountsEventsIdentically) {
 
 TEST(SimulatorTest, BatchedSpanHonoursStopAndDeadline) {
   Simulator sim;
-  ASSERT_TRUE(sim.BatchedPeriodic());  // Default on.
   struct Stopper : EventHandler {
     Simulator* sim;
     int fires = 0;

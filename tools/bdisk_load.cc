@@ -5,7 +5,15 @@
 // response, or a snooped push/pull — the broadcast medium answers either
 // way), measure the wall round-trip, think, repeat. Retries ride the same
 // bounded-exponential-backoff engine as the measured client's robust pull
-// path. Examples:
+// path. Each round ends in one outcome class:
+//   - pull round-trip: answered after at least one PULL reached the kernel
+//     (only these count toward pull round-trips/s and the RTT figures);
+//   - push-satisfied: answered although no PULL was ever sent (every send
+//     was refused, and the broadcast carried the page anyway);
+//   - failed: never answered.
+// The report's "completed" counts pull round-trips only. Refused sends are
+// reported as send_failed; any of them makes the run exit 1, because its
+// pull rate is not what was asked for. Examples:
 //
 //   bdisk_load --socket /tmp/bd.sock --rounds 200
 //   bdisk_load --socket bd.sock --rounds 100 --restart-after 50 --reconcile
@@ -171,7 +179,8 @@ int main(int argc, char** argv) {
         .count();
   };
 
-  std::uint64_t completed = 0;
+  std::uint64_t completed = 0;       // Pull round-trips.
+  std::uint64_t push_satisfied = 0;  // Answered without a PULL sent.
   std::uint64_t failed = 0;
   std::uint64_t restarts = 0;
   std::vector<double> rtts_ms;
@@ -197,9 +206,14 @@ int main(int argc, char** argv) {
         static_cast<broadcast::PageId>(rng.NextBounded(db_size));
     const double t0 = wall_s();
     bool answered = false;
+    bool pull_sent = false;
     for (std::uint32_t attempt = 0; attempt <= retries && !answered;
          ++attempt) {
-      if (!channel.SendPull(page)) channel.SendPing();  // Keep liveness.
+      if (channel.SendPull(page)) {
+        pull_sent = true;
+      } else {
+        channel.SendPing();  // Keep liveness.
+      }
       const double deadline =
           wall_s() +
           fault::JitteredBackoffDelay(options.backoff, attempt, &rng);
@@ -224,9 +238,11 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (answered) {
+    if (answered && pull_sent) {
       ++completed;
       rtts_ms.push_back((wall_s() - t0) * 1000.0);
+    } else if (answered) {
+      ++push_satisfied;
     } else {
       ++failed;
     }
@@ -288,14 +304,16 @@ int main(int argc, char** argv) {
   for (const double r : rtts_ms) rtt_sum += r;
 
   std::printf(
-      "bdisk_load: %llu/%llu rounds in %.3fs (%.1f pull round-trips/s, "
-      "%.1f slots/s heard)\n"
+      "bdisk_load: %llu rounds in %.3fs: %llu pull round-trips (%.1f/s), "
+      "%llu push-satisfied, %llu failed; %.1f slots/s heard\n"
       "  pulls sent=%llu send_failed=%llu  slots rx=%llu  reconnects=%llu "
       "restarts=%llu\n"
       "  rtt ms: mean=%.2f p50=%.2f p90=%.2f p99=%.2f\n",
-      static_cast<unsigned long long>(completed),
-      static_cast<unsigned long long>(rounds), elapsed, rt_per_s,
-      slots_per_s, static_cast<unsigned long long>(c.pulls_sent),
+      static_cast<unsigned long long>(rounds), elapsed,
+      static_cast<unsigned long long>(completed), rt_per_s,
+      static_cast<unsigned long long>(push_satisfied),
+      static_cast<unsigned long long>(failed), slots_per_s,
+      static_cast<unsigned long long>(c.pulls_sent),
       static_cast<unsigned long long>(c.pulls_send_failed),
       static_cast<unsigned long long>(c.slots_rx_total),
       static_cast<unsigned long long>(c.reconnects),
@@ -314,18 +332,22 @@ int main(int argc, char** argv) {
         out,
         "{\"schema\":\"bdisk-load-v1\",\"build_type\":\"%s\","
         "\"git_rev\":\"%s\",\"optimized\":%s,\"socket\":\"%s\","
-        "\"rounds\":%llu,\"completed\":%llu,\"failed\":%llu,"
+        "\"rounds\":%llu,\"completed\":%llu,\"push_satisfied\":%llu,"
+        "\"failed\":%llu,"
         "\"elapsed_s\":%.6f,\"pull_rt_per_s\":%.3f,\"slots_per_s\":%.3f,"
-        "\"pulls_sent\":%llu,\"slots_rx\":%llu,\"reconnects\":%llu,"
+        "\"pulls_sent\":%llu,\"send_failed\":%llu,\"slots_rx\":%llu,"
+        "\"reconnects\":%llu,"
         "\"rtt_ms\":{\"mean\":%.4f,\"p50\":%.4f,\"p90\":%.4f,"
         "\"p99\":%.4f}}\n",
         core::BuildType(), core::GitRev(),
         core::OptimizedBuild() ? "true" : "false", socket_path.c_str(),
         static_cast<unsigned long long>(rounds),
         static_cast<unsigned long long>(completed),
+        static_cast<unsigned long long>(push_satisfied),
         static_cast<unsigned long long>(failed),
         elapsed, rt_per_s, slots_per_s,
         static_cast<unsigned long long>(c.pulls_sent),
+        static_cast<unsigned long long>(c.pulls_send_failed),
         static_cast<unsigned long long>(c.slots_rx_total),
         static_cast<unsigned long long>(c.reconnects),
         rtts_ms.empty() ? 0.0
@@ -336,8 +358,13 @@ int main(int argc, char** argv) {
   }
 
   if (reconcile_failed) return 1;
+  if (c.pulls_send_failed > 0) {
+    std::fprintf(stderr, "bdisk_load: %llu pull sends were refused\n",
+                 static_cast<unsigned long long>(c.pulls_send_failed));
+    return 1;
+  }
   if (completed == 0) {
-    std::fprintf(stderr, "bdisk_load: no round completed\n");
+    std::fprintf(stderr, "bdisk_load: no pull round-trip completed\n");
     return 1;
   }
   return 0;
