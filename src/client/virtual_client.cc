@@ -81,7 +81,6 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
 }
 
 std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon) {
-  ++spine_batches_;
   // Barrier-frozen snapshot: the cursor cannot move during a drain (it
   // only advances in the server's slot decision, which runs after the
   // CatchUpLazySources barrier), so one position serves the whole batch —

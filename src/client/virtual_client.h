@@ -47,11 +47,10 @@ struct VirtualClientOptions {
   /// lazy-source drain — one register-resident draw+classify pass against
   /// a barrier-frozen distance snapshot (the batched arrival spine) —
   /// instead of costing one heap event each. Unfused reproduces the
-  /// one-heap-event-per-arrival schedule exactly; it is the reference the
-  /// fused drain is tested against, and the path fault.request_delay
-  /// needs (SystemConfig::vc_fusion). Either way the trajectory is
-  /// bit-identical; see DESIGN.md, "The lazy-source contract" and "The
-  /// batched arrival spine".
+  /// one-heap-event-per-arrival schedule exactly; it is only the reference
+  /// the fused drain is tested against (core::VcPath). Either way the
+  /// trajectory is bit-identical; see DESIGN.md, "The lazy-source
+  /// contract" and "The batched arrival spine".
   bool fused = true;
 };
 
@@ -110,12 +109,6 @@ class VirtualClient : public sim::LazySource,
   std::uint64_t FilteredByThreshold() const { return filtered_; }
   std::uint64_t RequestsSubmitted() const { return submitted_; }
 
-  /// Introspection for the spine-bypass invariants: whether this VC runs
-  /// fused (the spine drain), and how many spine drains have run (0
-  /// whenever the VC runs unfused — e.g. fault.request_delay forcing it).
-  bool Fused() const { return options_.fused; }
-  std::uint64_t SpineBatches() const { return spine_batches_; }
-
  private:
   /// EventHandler: one unfused heap wakeup (the reference path).
   void OnEvent() override;
@@ -147,7 +140,6 @@ class VirtualClient : public sim::LazySource,
   // back to the snapshot's memoized search).
   broadcast::DistanceSnapshot snapshot_;
   std::unique_ptr<const broadcast::CycleSpanTable> span_table_;
-  std::uint64_t spine_batches_ = 0;
 
   std::uint64_t generated_ = 0;
   std::uint64_t cache_hits_ = 0;

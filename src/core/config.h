@@ -75,10 +75,6 @@ struct SystemConfig {
   /// Whether the virtual client generates load at all. Forced off for
   /// kPurePush (no backchannel exists).
   bool vc_enabled = true;
-  /// Virtual-client event fusion: batch VC arrivals through the kernel's
-  /// lazy-source drain instead of one heap event each. Bit-identical
-  /// trajectory either way (see DESIGN.md); off is the A/B escape hatch.
-  bool vc_fusion = true;
   /// Measured-client retry interval for pulls of unscheduled pages; 0 picks
   /// an automatic default (one major cycle, or ServerDBSize slots for
   /// Pure-Pull). See MeasuredClientOptions::retry_interval.

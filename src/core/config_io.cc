@@ -279,7 +279,6 @@ std::string ApplyConfigOption(const std::string& raw_key,
   };
   const BoolKey bools[] = {
       {"vc_enabled", &config->vc_enabled},
-      {"vc_fusion", &config->vc_fusion},
       {"mc_prefetch", &config->mc_prefetch},
       {"adaptive_pull_bw", &config->adaptive_pull_bw},
       {"adaptive_threshold", &config->adaptive_threshold},
@@ -358,7 +357,6 @@ std::string ConfigToText(const SystemConfig& config) {
   out << "think_time_ratio = " << config.think_time_ratio << "\n";
   out << "steady_state_perc = " << config.steady_state_perc << "\n";
   out << "vc_enabled = " << (config.vc_enabled ? "true" : "false") << "\n";
-  out << "vc_fusion = " << (config.vc_fusion ? "true" : "false") << "\n";
   out << "mc_retry_interval = " << config.mc_retry_interval << "\n";
   if (config.mc_policy.has_value()) {
     const char* policy = cache::PolicyKindName(*config.mc_policy);

@@ -139,7 +139,8 @@ std::vector<broadcast::PageId> TopValuedPages(
 }
 
 System::System(const SystemConfig& config,
-               std::shared_ptr<const SystemArtifacts> artifacts)
+               std::shared_ptr<const SystemArtifacts> artifacts,
+               VcPath vc_path)
     : config_(config),
       artifacts_(artifacts != nullptr ? std::move(artifacts)
                                       : BuildArtifacts(config)),
@@ -213,9 +214,7 @@ System::System(const SystemConfig& config,
     vc_options.thres_perc =
         (config.mode == DeliveryMode::kIpp) ? config.thres_perc : 0.0;
     vc_options.cache_size = config.cache_size;
-    // fault.request_delay re-times submissions through the event heap; the
-    // fused batch path cannot represent that, so delay forces unfused.
-    vc_options.fused = config.vc_fusion && config.fault.request_delay == 0.0;
+    vc_options.fused = vc_path == VcPath::kSpine;
     vc_ = std::make_unique<client::VirtualClient>(
         &simulator_, server_.get(), artifacts_->canonical_pattern,
         TopValuedPages(vc_values, config.cache_size), vc_options, vc_rng);
@@ -366,8 +365,7 @@ std::vector<obs::CounterSample> System::ProbeTelemetryCounters() const {
 
 std::vector<std::pair<std::string, std::string>> System::TelemetryProvenance()
     const {
-  // Only trajectory-relevant knobs: vc_fusion is deliberately excluded so
-  // fused and unfused runs stream byte-identical frames.
+  // Only trajectory-relevant knobs.
   std::vector<std::pair<std::string, std::string>> p;
   p.emplace_back("mode", DeliveryModeName(config_.mode));
   p.emplace_back("db_size", std::to_string(config_.server_db_size));
@@ -460,7 +458,7 @@ void System::SnapshotMetrics(obs::MetricsRegistry* registry) const {
 
   counter("kernel.events_executed", simulator_.EventsExecuted());
   counter("kernel.periodic_rearms", simulator_.PeriodicRearms());
-  counter("kernel.lazy_arrivals_fused", simulator_.LazyArrivalsFused());
+  counter("kernel.lazy_arrivals_fused", simulator_.FusedArrivals());
   counter("kernel.lazy_drains", simulator_.LazyDrains());
   counter("kernel.stale_discarded", simulator_.StaleDiscarded());
   counter("kernel.periodic_spans", simulator_.PeriodicSpans());
@@ -568,7 +566,7 @@ RunResult System::CollectResult(bool converged) const {
   result.kernel.events_executed = simulator_.EventsExecuted();
   result.kernel.heap_high_water = simulator_.HeapHighWater();
   result.kernel.periodic_rearms = simulator_.PeriodicRearms();
-  result.kernel.lazy_arrivals_fused = simulator_.LazyArrivalsFused();
+  result.kernel.lazy_arrivals_fused = simulator_.FusedArrivals();
   result.kernel.lazy_drains = simulator_.LazyDrains();
   result.kernel.stale_discarded = simulator_.StaleDiscarded();
   result.kernel.periodic_spans = simulator_.PeriodicSpans();

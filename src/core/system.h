@@ -97,6 +97,12 @@ class ArtifactCache {
       cache_;
 };
 
+/// How the virtual client's arrivals reach the kernel. Every config, tool
+/// and sweep runs the spine (arrivals drained in batch at lazy-source
+/// barriers); the per-arrival path, one heap event per arrival, is the
+/// reference that tests compare the spine against.
+enum class VcPath { kSpine, kPerArrivalReference };
+
 /// One fully wired simulated system: broadcast program, server, measured
 /// client, and virtual client, built from a SystemConfig.
 ///
@@ -109,7 +115,8 @@ class System {
   /// `artifacts` (optional) supplies pre-built shared artifacts; they must
   /// come from a config with the same ArtifactKey. Null builds them fresh.
   explicit System(const SystemConfig& config,
-                  std::shared_ptr<const SystemArtifacts> artifacts = nullptr);
+                  std::shared_ptr<const SystemArtifacts> artifacts = nullptr,
+                  VcPath vc_path = VcPath::kSpine);
 
   /// Runs the steady-state protocol and returns the measurements.
   RunResult RunSteadyState(const SteadyStateProtocol& protocol = {});

@@ -38,9 +38,8 @@ struct FaultPlan {
   double request_loss = 0.0;
   /// Mean extra backchannel latency in broadcast units, exponentially
   /// distributed per request; 0 disables delay. Delayed requests reach the
-  /// pull queue at submit time + delay. Incompatible with vc_fusion (the
-  /// fused arrival batching cannot reorder submissions by effective
-  /// arrival time), so enabling it forces the unfused event path.
+  /// pull queue at submit time + delay, through the server's delay line
+  /// (drained at lazy-source barriers, so the VC stays on its spine).
   double request_delay = 0.0;
 
   // --- Timed server outage / brownout windows (no randomness) ---

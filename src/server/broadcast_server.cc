@@ -41,6 +41,10 @@ BroadcastServer::BroadcastServer(sim::Simulator* simulator,
                           std::move(program)),
                       pull_bw, queue_capacity, rng) {}
 
+BroadcastServer::~BroadcastServer() {
+  if (delay_registered_) simulator_->UnregisterLazySource(&delay_line_);
+}
+
 void BroadcastServer::AddListener(BroadcastListener* listener) {
   BDISK_CHECK_MSG(listener != nullptr, "null listener");
   listeners_.push_back(listener);
@@ -62,6 +66,10 @@ void BroadcastServer::SetFaultInjector(fault::FaultInjector* injector) {
   shed_table_.reset();
   degraded_pull_bw_mult_ = 1.0;
   degraded_ = false;
+  if (delay_registered_) simulator_->UnregisterLazySource(&delay_line_);
+  delay_registered_ =
+      injector != nullptr && injector->plan().request_delay > 0.0;
+  if (delay_registered_) simulator_->RegisterLazySource(&delay_line_);
   if (injector == nullptr) return;
   const fault::FaultPlan& plan = injector->plan();
   if (plan.DegradedModeEnabled()) {
@@ -107,7 +115,10 @@ SubmitResult BroadcastServer::SubmitRequestAt(PageId page,
                                               sim::SimTime at) {
   BDISK_DCHECK(page < program_->DbSize());
   if (injector_ != nullptr) {
-    // Backchannel transit faults first: a request lost on the wire never
+    // Requests in flight due by `at` land first, so this submit's outcome
+    // (even a loss record) follows theirs, as in timestamp order.
+    delay_line_.CatchUp(at);
+    // Backchannel transit faults: a request lost on the wire never
     // reaches the server, and a delayed one arrives later (the queue
     // outcome is decided — and traced — at arrival time).
     bool lost;
@@ -122,15 +133,22 @@ SubmitResult BroadcastServer::SubmitRequestAt(PageId page,
       return SubmitResult::kLostChannel;
     }
     if (delay > 0.0) {
-      BroadcastServer* self = this;
-      simulator_->ScheduleAfter(delay, [self, page, client] {
-        self->SubmitArrived(page, client, self->simulator_->Now());
-      });
+      delay_line_.in_flight.emplace(at + delay, delay_line_.pushed++, page,
+                                    client);
       // In flight; instrumentation-only callers treat this as accepted.
       return SubmitResult::kAccepted;
     }
   }
   return SubmitArrived(page, client, at);
+}
+
+std::uint64_t BroadcastServer::DelayLine::CatchUp(sim::SimTime horizon) {
+  while (!in_flight.empty() && std::get<0>(in_flight.top()) <= horizon) {
+    const auto [due, seq, page, client] = in_flight.top();
+    in_flight.pop();
+    server->SubmitArrived(page, client, due);
+  }
+  return 0;  // Not fused arrivals: no VC path sends them through the heap.
 }
 
 SubmitResult BroadcastServer::SubmitArrived(PageId page, std::uint32_t client,
@@ -139,7 +157,7 @@ SubmitResult BroadcastServer::SubmitArrived(PageId page, std::uint32_t client,
   if (injector_ != nullptr) {
     // Outage windows discard arrivals outright (blackout and brownout
     // alike: the request processor is what is down).
-    if (injector_->InOutage(simulator_->Now())) {
+    if (injector_->InOutage(at)) {
       queue_.NoteOutageDrop();
       RecordFaultSubmit(SubmitResult::kDroppedOutage, page, client, at);
       return SubmitResult::kDroppedOutage;
@@ -190,7 +208,7 @@ SubmitResult BroadcastServer::SubmitArrived(PageId page, std::uint32_t client,
                    : obs::SubmitSample::kDropped);
     collector_->OnSubmit(at, sample, queue_.Size());
   }
-  if (shed_enter_depth_ > 0) UpdateDegraded();
+  if (shed_enter_depth_ > 0) UpdateDegraded(at);
   return result;
 }
 
@@ -226,29 +244,27 @@ void BroadcastServer::RecordFaultSubmit(SubmitResult result, PageId page,
   }
 }
 
-void BroadcastServer::UpdateDegraded() {
+void BroadcastServer::UpdateDegraded(sim::SimTime at) {
   const std::uint32_t depth = queue_.Size();
   if (!degraded_ && depth >= shed_enter_depth_) {
     degraded_ = true;
     ++degraded_enters_;
     if (sink_ != nullptr) {
-      sink_->Record(simulator_->Now(), obs::SpanEvent::kDegradedEnter,
-                    obs::kNoClient, obs::kNoTracePage,
-                    static_cast<double>(depth));
+      sink_->Record(at, obs::SpanEvent::kDegradedEnter, obs::kNoClient,
+                    obs::kNoTracePage, static_cast<double>(depth));
     }
     if (telemetry_bus_ != nullptr) {
-      telemetry_bus_->OnDegraded(simulator_->Now(), /*entering=*/true, depth);
+      telemetry_bus_->OnDegraded(at, /*entering=*/true, depth);
     }
   } else if (degraded_ && depth <= shed_exit_depth_) {
     degraded_ = false;
     ++degraded_exits_;
     if (sink_ != nullptr) {
-      sink_->Record(simulator_->Now(), obs::SpanEvent::kDegradedExit,
-                    obs::kNoClient, obs::kNoTracePage,
-                    static_cast<double>(depth));
+      sink_->Record(at, obs::SpanEvent::kDegradedExit, obs::kNoClient,
+                    obs::kNoTracePage, static_cast<double>(depth));
     }
     if (telemetry_bus_ != nullptr) {
-      telemetry_bus_->OnDegraded(simulator_->Now(), /*entering=*/false, depth);
+      telemetry_bus_->OnDegraded(at, /*entering=*/false, depth);
     }
   }
 }
@@ -350,7 +366,7 @@ void BroadcastServer::ChooseNextSlot() {
     in_flight_page_ = queue_.PopFront();
     in_flight_kind_ = SlotKind::kPull;
     ++pull_slots_;
-    if (shed_enter_depth_ > 0) UpdateDegraded();
+    if (shed_enter_depth_ > 0) UpdateDegraded(simulator_->Now());
   } else if (cursor_) {
     in_flight_page_ = cursor_->Advance();
     if (in_flight_page_ != broadcast::kNoPage) {

@@ -2,8 +2,11 @@
 #define BDISK_SERVER_BROADCAST_SERVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 #include "broadcast/broadcast_program.h"
@@ -77,6 +80,8 @@ class BroadcastServer : public sim::EventHandler {
                   broadcast::BroadcastProgram program, double pull_bw,
                   std::uint32_t queue_capacity, sim::Rng rng);
 
+  ~BroadcastServer() override;
+
   BroadcastServer(const BroadcastServer&) = delete;
   BroadcastServer& operator=(const BroadcastServer&) = delete;
 
@@ -130,7 +135,8 @@ class BroadcastServer : public sim::EventHandler {
   /// and the zero-overhead path: one pointer check per slot and submit).
   /// With an injector attached the server (1) rolls each non-idle slot's
   /// fate (loss/corruption) before delivering to listeners, (2) drops
-  /// backchannel arrivals lost in transit, delays others, and discards
+  /// backchannel arrivals lost in transit, delays others (through a
+  /// delay line the simulator drains as a lazy source), and discards
   /// arrivals inside outage windows, and (3) runs degraded-mode admission
   /// control: when the queue depth crosses the plan's shed_hi watermark the
   /// server sheds arriving requests whose page has a near push slot and
@@ -163,7 +169,8 @@ class BroadcastServer : public sim::EventHandler {
   /// records. This is the entry point for fused (lazy-source) arrivals
   /// drained at a barrier after their true arrival time: the queue outcome
   /// is identical, but the trace must carry the arrival's own timestamp,
-  /// not the barrier's. Does not itself drain lazy sources.
+  /// not the barrier's. Does not itself drain lazy sources, but delivers
+  /// every delayed request due by `at` before judging this one.
   SubmitResult SubmitRequestAt(PageId page, std::uint32_t client,
                                sim::SimTime at);
 
@@ -202,11 +209,29 @@ class BroadcastServer : public sim::EventHandler {
   /// Fault pipeline: the request reached the server (post loss/delay).
   SubmitResult SubmitArrived(PageId page, std::uint32_t client,
                              sim::SimTime at);
-  /// Re-evaluates the degraded-mode watermarks after a depth change.
-  void UpdateDegraded();
+  /// Re-evaluates the degraded-mode watermarks after a depth change at
+  /// time `at` (the edge records carry it).
+  void UpdateDegraded(sim::SimTime at);
   /// Shared instrumentation for submit outcomes that never reach Submit().
   void RecordFaultSubmit(SubmitResult result, PageId page,
                          std::uint32_t client, sim::SimTime at);
+
+  /// fault.request_delay's backchannel: requests in flight, ordered by
+  /// (due time, push order). A lazy source, so every barrier delivers them
+  /// in timestamp order with the virtual client's arrivals.
+  struct DelayLine : sim::LazySource {
+    using Entry =
+        std::tuple<sim::SimTime, std::uint64_t, PageId, std::uint32_t>;
+    explicit DelayLine(BroadcastServer* owner) : server(owner) {}
+    sim::SimTime NextArrivalTime() const override {
+      return in_flight.empty() ? sim::kTimeNever
+                               : std::get<0>(in_flight.top());
+    }
+    std::uint64_t CatchUp(sim::SimTime horizon) override;
+    BroadcastServer* server;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> in_flight;
+    std::uint64_t pushed = 0;
+  };
 
   sim::Simulator* simulator_;
   std::shared_ptr<const broadcast::BroadcastProgram> program_;
@@ -259,6 +284,11 @@ class BroadcastServer : public sim::EventHandler {
   std::uint32_t window_push_ = 0;
   std::uint32_t window_pull_ = 0;
   std::uint32_t window_idle_ = 0;
+
+  // fault.request_delay only (registered with the simulator iff the
+  // plan delays); kept off the slot loop's hot fields above.
+  DelayLine delay_line_{this};
+  bool delay_registered_ = false;
 };
 
 }  // namespace bdisk::server

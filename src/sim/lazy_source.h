@@ -38,7 +38,9 @@ class LazySource {
   virtual SimTime NextArrivalTime() const = 0;
 
   /// Processes every pending arrival with timestamp <= `horizon`, in
-  /// timestamp order, and returns how many were processed. After the call
+  /// timestamp order. Returns how many were fused arrivals — each one heap
+  /// event on the per-arrival reference path (Simulator::FusedArrivals);
+  /// the server's request delay line returns 0. After the call
   /// NextArrivalTime() > horizon (or kTimeNever).
   virtual std::uint64_t CatchUp(SimTime horizon) = 0;
 };

@@ -81,10 +81,11 @@ class Simulator {
   /// outer drain is already processing arrivals in timestamp order.
   void CatchUpLazySources();
 
-  /// Fused-source profiling: arrivals processed via CatchUpLazySources()
-  /// (each would have been one heap event without fusion) and the number
-  /// of drain calls that processed at least one arrival.
-  std::uint64_t LazyArrivalsFused() const { return lazy_arrivals_fused_; }
+  /// Fused-source profiling: fused arrivals processed via
+  /// CatchUpLazySources() (each would have been one heap event on the
+  /// per-arrival path; see LazySource::CatchUp) and the number of drain
+  /// calls that processed at least one of them.
+  std::uint64_t FusedArrivals() const { return lazy_arrivals_fused_; }
   std::uint64_t LazyDrains() const { return lazy_drains_; }
 
   /// Attaches a wall-clock phase profiler (not owned; null detaches). The

@@ -1,6 +1,6 @@
 // System-level fault-injection pins: determinism (same seed + same plan =>
-// bit-identical RunResult), the fusion invariant under faults, the forced
-// unfused path for request delay, injection-rate sanity, and the queue
+// bit-identical RunResult), the fusion invariant under faults, the
+// request-delay trajectory pins, injection-rate sanity, and the queue
 // accounting equation. The complementary zero-perturbation guarantee — a
 // default (disabled) FaultPlan leaves every trajectory bit-identical to
 // the pre-fault baseline — is pinned by golden_test's seed-424242 pins and
@@ -13,6 +13,7 @@
 #include "core/config_io.h"
 #include "core/system.h"
 #include "fault/fault_plan.h"
+#include "obs/trace_sink.h"
 
 namespace bdisk {
 namespace {
@@ -117,34 +118,59 @@ TEST(FaultInjectionTest, DifferentSeedsInjectDifferently) {
 TEST(FaultInjectionTest, FusedMatchesUnfusedUnderFaults) {
   // The injector judges slots and requests in arrival order, which the
   // fused VC path preserves; losses must not break the fusion invariant.
+  // The outage window's fractional edges fall between slots: a fused
+  // arrival drained at the next slot barrier must still be judged at its
+  // own arrival time.
   core::SystemConfig config = SmallLoadedConfig();
   config.fault.slot_loss = 0.1;
   config.fault.request_loss = 0.15;
   config.fault.shed_hi = 0.8;
+  config.fault.outage_start = 100.5;
+  config.fault.outage_duration = 30.25;
+  config.fault.outage_period = 400.75;
 
-  config.vc_fusion = true;
   core::System fused_system(config);
   const core::RunResult fused = fused_system.RunSteadyState(QuickProtocol());
-  config.vc_fusion = false;
-  core::System unfused_system(config);
+  core::System unfused_system(config, nullptr,
+                              core::VcPath::kPerArrivalReference);
   const core::RunResult unfused =
       unfused_system.RunSteadyState(QuickProtocol());
   ExpectIdenticalResults(fused, unfused);
   EXPECT_GT(fused.kernel.lazy_arrivals_fused, 0U);
   EXPECT_EQ(unfused.kernel.lazy_arrivals_fused, 0U);
+  EXPECT_GT(fused.requests_dropped_outage, 0U);
 }
 
-TEST(FaultInjectionTest, RequestDelayForcesTheUnfusedPath) {
-  // Delayed submissions re-enter through the event heap; the fused batch
-  // path cannot re-time them, so System must drop to unfused even when the
-  // config asks for fusion.
+TEST(FaultInjectionTest, RequestDelayKeepsItsPinnedTrajectory) {
+  // Delayed requests ride the server's delay line on every VC path, so the
+  // fused-vs-reference pair cannot catch a shift in delay semantics. These
+  // values were recorded when each delayed request was its own heap event
+  // and every VC arrival was too; the spine with the delay line must
+  // reproduce them exactly.
   core::SystemConfig config = SmallLoadedConfig();
-  config.vc_fusion = true;
   config.fault.request_delay = 2.0;
+  config.fault.request_loss = 0.05;
+  config.fault.slot_loss = 0.05;
+  config.fault.mc_timeout = 50.0;
+  config.fault.outage_start = 100.5;
+  config.fault.outage_duration = 30.25;
+  config.fault.outage_period = 400.75;
   core::System system(config);
+  obs::TraceSink sink(1 << 21);
+  system.AttachTrace(&sink);
   const core::RunResult r = system.RunSteadyState(QuickProtocol());
-  EXPECT_EQ(r.kernel.lazy_arrivals_fused, 0U);
-  EXPECT_GT(r.fault_requests_delayed, 0U);
+  EXPECT_GT(r.kernel.lazy_arrivals_fused, 0U);
+  EXPECT_EQ(r.mean_response, 34.961333333333343);
+  EXPECT_EQ(r.requests_accepted, 15861U);
+  EXPECT_EQ(r.requests_coalesced, 20699U);
+  EXPECT_EQ(r.requests_dropped, 110947U);
+  EXPECT_EQ(r.requests_dropped_outage, 12053U);
+  EXPECT_EQ(r.fault_requests_lost, 8419U);
+  EXPECT_EQ(r.fault_requests_delayed, 159575U);
+  EXPECT_EQ(r.mc_retries_sent, 251U);
+  EXPECT_EQ(r.sim_time_end, 34314.0);
+  EXPECT_EQ(sink.DroppedEvents(), 0U);
+  EXPECT_EQ(sink.Events().size(), 206770U);
 }
 
 TEST(FaultInjectionTest, SlotLossRateIsRoughlyHonouredSystemWide) {

@@ -2,13 +2,15 @@
 // behaviour, pinned at the unit level with scripted servers and injectors:
 // exact timeout arithmetic (jitter off), the backoff cap, deterministic
 // jitter per stream, abandon vs. fallback, dead-backchannel declaration and
-// snoop revival, shed hysteresis, and outage blackout/brownout slots.
+// snoop revival, shed hysteresis, outage blackout/brownout slots, and
+// delayed requests judged at their own due time.
 
 #include <gtest/gtest.h>
 
 #include "client/measured_client.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "obs/trace_sink.h"
 #include "server/broadcast_server.h"
 #include "sim/simulator.h"
 
@@ -402,6 +404,50 @@ TEST(OutageTest, BrownoutKeepsPushingButSuspendsPull) {
   EXPECT_EQ(server.IdleSlots(), 0U);  // Never idle: the schedule runs on.
   EXPECT_EQ(server.PullSlots(), 2U);
   EXPECT_TRUE(server.queue().Empty());
+}
+
+TEST(OutageTest, DelayedRequestsAreJudgedAtTheirDueTime) {
+  // Forty distinct pulls leave at t=8, before the window opens; each
+  // reaches the server at 8 + its own delay, through the delay line. The
+  // window's edges fall between slots, so an outage verdict taken at a
+  // slot barrier instead of the due time would misjudge some of them.
+  sim::Simulator sim;
+  BroadcastServer server(&sim, BroadcastProgram({0, 1, 2, 3}, 64), 0.0, 64,
+                         sim::Rng(1));
+  FaultPlan plan;
+  plan.request_delay = 4.0;
+  plan.outage_start = 10.5;
+  plan.outage_duration = 5.25;
+  FaultInjector injector(plan, sim::Rng(2));
+  server.SetFaultInjector(&injector);
+  obs::TraceSink sink(1024);
+  server.SetTraceSink(&sink);
+
+  sim.ScheduleAt(8.0, [&server] {
+    for (PageId p = 4; p < 44; ++p) {
+      EXPECT_EQ(server.SubmitRequest(p), SubmitResult::kAccepted);
+    }
+  });
+  sim.RunUntil(60.0);
+  EXPECT_EQ(injector.RequestsDelayed(), 40U);
+
+  std::uint64_t accepted = 0;
+  std::uint64_t outage = 0;
+  sim::SimTime last = 8.0;
+  for (const obs::SpanRecord& r : sink.Events()) {
+    const bool dropped = r.event == obs::SpanEvent::kSubmitOutage;
+    if (!dropped && r.event != obs::SpanEvent::kSubmitAccepted) continue;
+    EXPECT_GT(r.time, 8.0);
+    EXPECT_GE(r.time, last);  // Delivered in due order.
+    EXPECT_EQ(dropped, injector.InOutage(r.time)) << "at " << r.time;
+    last = r.time;
+    (dropped ? outage : accepted) += 1;
+  }
+  EXPECT_EQ(accepted + outage, 40U);
+  EXPECT_GT(outage, 0U);
+  EXPECT_GT(accepted, 0U);
+  EXPECT_EQ(server.queue().AcceptedCount(), accepted);
+  EXPECT_EQ(server.queue().OutageDropCount(), outage);
 }
 
 }  // namespace

@@ -63,12 +63,12 @@ TEST(LazySourceTest, DrainStopsAtNow) {
   ASSERT_EQ(log.size(), 2U);
   EXPECT_EQ(log[0], (std::pair<int, sim::SimTime>{0, 1.0}));
   EXPECT_EQ(log[1], (std::pair<int, sim::SimTime>{0, 2.0}));
-  EXPECT_EQ(sim.LazyArrivalsFused(), 2U);
+  EXPECT_EQ(sim.FusedArrivals(), 2U);
 
   sim.RunUntil(10.0);
   ASSERT_EQ(log.size(), 3U);
   EXPECT_EQ(log[2], (std::pair<int, sim::SimTime>{0, 7.5}));
-  EXPECT_EQ(sim.LazyArrivalsFused(), 3U);
+  EXPECT_EQ(sim.FusedArrivals(), 3U);
 }
 
 TEST(LazySourceTest, MultipleSourcesDrainInGlobalTimestampOrder) {
@@ -83,7 +83,7 @@ TEST(LazySourceTest, MultipleSourcesDrainInGlobalTimestampOrder) {
   const std::vector<std::pair<int, sim::SimTime>> expected = {
       {0, 1.0}, {1, 2.0}, {1, 3.0}, {0, 4.0}, {0, 5.0}, {1, 6.0}, {0, 9.0}};
   EXPECT_EQ(log, expected);
-  EXPECT_EQ(sim.LazyArrivalsFused(), 7U);
+  EXPECT_EQ(sim.FusedArrivals(), 7U);
   EXPECT_EQ(sim.LazyDrains(), 1U);
 }
 
@@ -95,7 +95,7 @@ TEST(LazySourceTest, UnregisteredSourceIsNotDrained) {
   sim.UnregisterLazySource(&source);
   sim.RunUntil(5.0);
   EXPECT_TRUE(log.empty());
-  EXPECT_EQ(sim.LazyArrivalsFused(), 0U);
+  EXPECT_EQ(sim.FusedArrivals(), 0U);
 }
 
 // The system-level pin. Every trajectory field of RunResult must agree to
@@ -111,12 +111,11 @@ void ExpectFusionInvariant(core::SystemConfig config) {
   protocol.batch_size = 250;
   protocol.tolerance = 0.1;
 
-  config.vc_fusion = true;
   core::System fused_system(config);
   const core::RunResult fused = fused_system.RunSteadyState(protocol);
 
-  config.vc_fusion = false;
-  core::System unfused_system(config);
+  core::System unfused_system(config, nullptr,
+                              core::VcPath::kPerArrivalReference);
   const core::RunResult unfused = unfused_system.RunSteadyState(protocol);
 
   EXPECT_EQ(fused.mean_response, unfused.mean_response);
@@ -204,7 +203,9 @@ TEST(FusionTest, FusedMatchesUnfusedWithNoiseAndPrefetch) {
 // sink's record stream being globally timestamp-ordered, and fusion must
 // not reorder (or re-time) a single record.
 
-std::vector<obs::SpanRecord> TraceOfRun(core::SystemConfig config) {
+std::vector<obs::SpanRecord> TraceOfRun(
+    const core::SystemConfig& config,
+    core::VcPath vc_path = core::VcPath::kSpine) {
   core::SteadyStateProtocol protocol;
   protocol.post_fill_accesses = 100;
   protocol.min_measured_accesses = 500;
@@ -212,7 +213,7 @@ std::vector<obs::SpanRecord> TraceOfRun(core::SystemConfig config) {
   protocol.batch_size = 250;
   protocol.tolerance = 0.1;
 
-  core::System system(config);
+  core::System system(config, nullptr, vc_path);
   // Big enough that the updates-plus-VC-heavy run never wraps: the
   // comparison below needs the complete stream, not the tail.
   obs::TraceSink sink(1 << 21);
@@ -229,7 +230,6 @@ TEST(FusionTraceTest, TimestampsAreGloballyNonDecreasingUnderFusion) {
   // timestamps.
   core::SystemConfig config = SmallLoadedConfig(core::DeliveryMode::kIpp);
   config.update_rate = 0.2;
-  config.vc_fusion = true;
   const std::vector<obs::SpanRecord> events = TraceOfRun(config);
   ASSERT_GT(events.size(), 0U);
   EXPECT_GT(std::count_if(events.begin(), events.end(),
@@ -248,10 +248,9 @@ TEST(FusionTraceTest, FusedAndUnfusedRunsEmitIdenticalTraces) {
   core::SystemConfig config = SmallLoadedConfig(core::DeliveryMode::kIpp);
   config.update_rate = 0.2;
 
-  config.vc_fusion = true;
   const std::vector<obs::SpanRecord> fused = TraceOfRun(config);
-  config.vc_fusion = false;
-  const std::vector<obs::SpanRecord> unfused = TraceOfRun(config);
+  const std::vector<obs::SpanRecord> unfused =
+      TraceOfRun(config, core::VcPath::kPerArrivalReference);
 
   ASSERT_EQ(fused.size(), unfused.size());
   for (std::size_t i = 0; i < fused.size(); ++i) {

@@ -136,15 +136,15 @@ TEST(GoldenTest, SteadyStateStreamsMatchPreKernelSwapPins) {
     // change how many arrivals happen or in what order. (Pure-Push has no
     // VC, so there the pin still holds exactly.)
     EXPECT_EQ(system.simulator().EventsExecuted() +
-                  system.simulator().LazyArrivalsFused(),
+                  system.simulator().FusedArrivals(),
               g.events_executed);
     if (g.mode == core::DeliveryMode::kPurePush) {
       EXPECT_EQ(system.simulator().EventsExecuted(), g.events_executed);
-      EXPECT_EQ(system.simulator().LazyArrivalsFused(), 0U);
+      EXPECT_EQ(system.simulator().FusedArrivals(), 0U);
     } else {
       // Fusion is on by default and the VC dominates the event count, so
       // most dispatches must have left the heap.
-      EXPECT_GT(system.simulator().LazyArrivalsFused(),
+      EXPECT_GT(system.simulator().FusedArrivals(),
                 system.simulator().EventsExecuted());
     }
   }

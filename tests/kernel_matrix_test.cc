@@ -25,13 +25,14 @@
 namespace bdisk {
 namespace {
 
-// A cell is the vc_fusion setting: the fused spine first, then the
-// unfused reference it is compared against.
-using Cell = bool;
-const Cell kMatrix[] = {true, false};
+// A cell is the VC path: the fused spine first, then the per-arrival
+// reference it is compared against.
+using Cell = core::VcPath;
+const Cell kMatrix[] = {core::VcPath::kSpine,
+                        core::VcPath::kPerArrivalReference};
 
-std::string CellName(Cell fused) {
-  return fused ? "fused-spine" : "unfused-reference";
+std::string CellName(Cell cell) {
+  return cell == core::VcPath::kSpine ? "fused-spine" : "unfused-reference";
 }
 
 core::SteadyStateProtocol SmallProtocol() {
@@ -57,10 +58,6 @@ core::SystemConfig SmallLoadedConfig() {
   config.thres_perc = 0.1;
   config.seed = 20260808;
   return config;
-}
-
-void ApplyCell(core::SystemConfig* config, Cell fused) {
-  config->vc_fusion = fused;
 }
 
 // Trajectory fields only: profile counters (heap high water, stale-discard
@@ -119,20 +116,15 @@ std::vector<core::RunResult> ExpectMatrixInvariant(
   std::vector<core::RunResult> results;
   std::optional<core::RunResult> reference;
   for (std::size_t i = 0; i < std::size(kMatrix); ++i) {
-    core::SystemConfig cell_config = config;
-    ApplyCell(&cell_config, kMatrix[i]);
-    core::System system(cell_config);
+    core::System system(config, nullptr, kMatrix[i]);
     const core::RunResult cell = system.RunSteadyState(SmallProtocol());
-    // The fused cell actually takes spine drains — unless fault
-    // request_delay forces the unfused path, in which case it must not
-    // take any.
+    // The spine cell actually takes spine drains; the reference takes
+    // every arrival as a heap event.
     if (system.vc() != nullptr) {
-      if (system.vc()->Fused()) {
-        EXPECT_GT(system.vc()->SpineBatches(), 0U) << CellName(kMatrix[i]);
+      if (kMatrix[i] == core::VcPath::kSpine) {
         EXPECT_GT(cell.kernel.lazy_arrivals_fused, 0U)
             << CellName(kMatrix[i]);
       } else {
-        EXPECT_EQ(system.vc()->SpineBatches(), 0U) << CellName(kMatrix[i]);
         EXPECT_EQ(cell.kernel.lazy_arrivals_fused, 0U)
             << CellName(kMatrix[i]);
       }
@@ -177,15 +169,19 @@ TEST(KernelMatrixTest, TrajectoryInvariantUnfused) {
 TEST(KernelMatrixTest, TrajectoryInvariantWithActiveFaultPlan) {
   // An *active* plan: fault code draws randomness, injects slot loss and
   // outages, delays requests, and drives the MC retry/timeout engine —
-  // all of it must land identically on both cells. (The inert-plan case is
-  // the default-config test above; see ROBUSTNESS.md.)
+  // all of it must land identically on both cells. Delayed requests ride
+  // the server's delay line on both, merged with the spine's drains on
+  // one. Fractional window edges put outage boundaries between slots, so
+  // an arrival must be judged at its own time, not its drain barrier's.
+  // (The inert-plan case is the default-config test above; see
+  // ROBUSTNESS.md.)
   core::SystemConfig config = SmallLoadedConfig();
   config.fault.slot_loss = 0.05;
   config.fault.request_loss = 0.05;
   config.fault.request_delay = 2.0;
-  config.fault.outage_start = 200.0;
-  config.fault.outage_duration = 25.0;
-  config.fault.outage_period = 400.0;
+  config.fault.outage_start = 200.5;
+  config.fault.outage_duration = 25.25;
+  config.fault.outage_period = 400.75;
   config.fault.mc_timeout = 50.0;
   ASSERT_TRUE(config.fault.Enabled());
   ASSERT_EQ(config.Validate(), "");
@@ -202,41 +198,12 @@ TEST(KernelMatrixTest, TrajectoryInvariantWithUpdatesAndAdaptation) {
   ExpectMatrixInvariant(config);
 }
 
-// fault.request_delay forces the unfused VC path (delayed arrivals need
-// their own heap events), which must bypass the spine entirely even with
-// vc_fusion on — and the bypassed run must still be bit-identical to an
-// explicit vc_fusion=false run.
-TEST(KernelMatrixTest, FaultDelayForcesUnfusedAndBypassesSpine) {
-  core::SystemConfig config = SmallLoadedConfig();
-  config.update_rate = 0.2;
-  config.fault.request_delay = 2.0;
-  ASSERT_TRUE(config.fault.Enabled());
-  ASSERT_EQ(config.Validate(), "");
-
-  config.vc_fusion = true;
-  core::System forced(config);
-  ASSERT_NE(forced.vc(), nullptr);
-  EXPECT_FALSE(forced.vc()->Fused());
-  const core::RunResult on = forced.RunSteadyState(SmallProtocol());
-  EXPECT_EQ(forced.vc()->SpineBatches(), 0U);
-
-  config.vc_fusion = false;
-  core::System off_system(config);
-  const core::RunResult off = off_system.RunSteadyState(SmallProtocol());
-  ExpectSameTrajectory(on, off, "forced-unfused vc_fusion on vs off");
-}
-
-// The strongest pin: the complete trace stream — every span record, in
-// order, with timestamps and payloads — must be byte-for-byte identical
-// between the fused spine and the unfused reference.
-TEST(KernelMatrixTest, TraceStreamsIdenticalAcrossMatrix) {
-  core::SystemConfig config = SmallLoadedConfig();
-  config.update_rate = 0.2;
-
+// Runs both cells on `config` with the trace attached and checks that
+// the complete span streams match record for record.
+void ExpectTraceStreamsIdentical(const core::SystemConfig& config) {
   std::vector<obs::SpanRecord> reference;
   for (std::size_t i = 0; i < std::size(kMatrix); ++i) {
-    ApplyCell(&config, kMatrix[i]);
-    core::System system(config);
+    core::System system(config, nullptr, kMatrix[i]);
     obs::TraceSink sink(1 << 21);
     system.AttachTrace(&sink);
     system.RunSteadyState(SmallProtocol());
@@ -263,6 +230,30 @@ TEST(KernelMatrixTest, TraceStreamsIdenticalAcrossMatrix) {
   }
 }
 
+// The strongest pin: the complete trace stream — every span record, in
+// order, with timestamps and payloads — must be byte-for-byte identical
+// between the fused spine and the unfused reference, on the fault-free
+// config and on an active plan whose degraded-mode edges, outage drops
+// and delayed deliveries all land between slot barriers.
+TEST(KernelMatrixTest, TraceStreamsIdenticalAcrossMatrix) {
+  core::SystemConfig config = SmallLoadedConfig();
+  config.update_rate = 0.2;
+  {
+    SCOPED_TRACE("fault-free");
+    ExpectTraceStreamsIdentical(config);
+  }
+  config.fault.request_loss = 0.05;
+  config.fault.request_delay = 2.0;
+  config.fault.outage_start = 100.5;
+  config.fault.outage_duration = 30.25;
+  config.fault.outage_period = 400.75;
+  config.fault.shed_hi = 0.6;
+  config.fault.degraded_pull_bw = 0.5;
+  ASSERT_EQ(config.Validate(), "");
+  SCOPED_TRACE("active plan");
+  ExpectTraceStreamsIdentical(config);
+}
+
 // Profiler arm: attaching the wall-clock phase profiler is a pure
 // wall-clock knob. Both cells must produce the bit-identical
 // RunResult *and* trace stream with the profiler attached as without —
@@ -278,14 +269,12 @@ TEST(KernelMatrixTest, ProfilerAttachLeavesTrajectoryBitIdentical) {
   ASSERT_TRUE(config.fault.Enabled());
 
   for (const Cell cell : kMatrix) {
-    ApplyCell(&config, cell);
-
-    core::System plain(config);
+    core::System plain(config, nullptr, cell);
     obs::TraceSink plain_sink(1 << 21);
     plain.AttachTrace(&plain_sink);
     const core::RunResult reference = plain.RunSteadyState(SmallProtocol());
 
-    core::System profiled(config);
+    core::System profiled(config, nullptr, cell);
     obs::TraceSink profiled_sink(1 << 21);
     obs::PhaseProfiler profiler;
     profiled.AttachTrace(&profiled_sink);
@@ -321,7 +310,7 @@ TEST(KernelMatrixTest, ProfilerAttachLeavesTrajectoryBitIdentical) {
 // Telemetry-bus arm: streaming bdisk-frame-v1 frames is a pure observer
 // too. Both cells must produce the bit-identical RunResult *and* trace
 // stream with the bus attached as without — and, because frame provenance
-// carries only trajectory-relevant fields (never vc_fusion) and the wall
+// carries only trajectory-relevant fields (never the VC path) and the wall
 // clock is suppressed, the frame streams themselves must be byte-identical
 // between the cells.
 TEST(KernelMatrixTest, TelemetryBusAttachLeavesTrajectoryBitIdentical) {
@@ -332,14 +321,12 @@ TEST(KernelMatrixTest, TelemetryBusAttachLeavesTrajectoryBitIdentical) {
 
   std::vector<std::string> reference_frames;
   for (const Cell cell : kMatrix) {
-    ApplyCell(&config, cell);
-
-    core::System plain(config);
+    core::System plain(config, nullptr, cell);
     obs::TraceSink plain_sink(1 << 21);
     plain.AttachTrace(&plain_sink);
     const core::RunResult reference = plain.RunSteadyState(SmallProtocol());
 
-    core::System observed(config);
+    core::System observed(config, nullptr, cell);
     obs::TraceSink observed_sink(1 << 21);
     auto frame_sink = std::make_unique<obs::CaptureFrameSink>();
     obs::CaptureFrameSink* capture = frame_sink.get();

@@ -87,8 +87,9 @@ struct BusRun {
 };
 
 BusRun RunWithBus(const core::SystemConfig& config,
-                  void (*rig)(CaptureFrameSink*) = nullptr) {
-  core::System system(config);
+                  void (*rig)(CaptureFrameSink*) = nullptr,
+                  core::VcPath vc_path = core::VcPath::kSpine) {
+  core::System system(config, nullptr, vc_path);
   auto sink = std::make_unique<CaptureFrameSink>();
   CaptureFrameSink* capture = sink.get();
   if (rig != nullptr) rig(capture);
@@ -150,12 +151,13 @@ TEST(TelemetryBusTest, ReconciliationExactAcrossFusionAndFaultMatrix) {
       SCOPED_TRACE(std::string(fused ? "fused" : "unfused") + "/" +
                    (faulty ? "faulty" : "inert"));
       core::SystemConfig config = SmallConfig();
-      config.vc_fusion = fused;
       if (faulty) {
         config.fault.slot_loss = 0.05;
         config.fault.request_loss = 0.05;
       }
-      const BusRun run = RunWithBus(config);
+      const BusRun run = RunWithBus(
+          config, nullptr,
+          fused ? core::VcPath::kSpine : core::VcPath::kPerArrivalReference);
       ExpectReconciles(run);
       EXPECT_EQ(run.frames_dropped, 0U);
       EXPECT_EQ(run.frames.size(), run.frames_emitted);
