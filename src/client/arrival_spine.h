@@ -35,9 +35,9 @@ struct ArrivalScratch {
 /// count, advances `*next_arrival` past the last filled arrival (or to the
 /// first arrival beyond the horizon), and leaves `rng` exactly where a
 /// one-at-a-time loop would: per arrival the draw order is page (alias
-/// bucket + acceptance), steady coin, think interval — the same
-/// interleaving as VirtualClient's unfused path, so trajectories are
-/// bit-identical.
+/// bucket + acceptance), steady coin, think interval. This is the paper's
+/// full, unthinned arrival stream; VirtualClient draws only its misses
+/// (DESIGN.md, "The batched arrival spine").
 /// The RNG state lives in a local (register-resident) copy across the
 /// loop; nothing else is read or written, so the batch is a pure function
 /// of (rng, next_arrival).

@@ -1,5 +1,7 @@
 #include "client/virtual_client.h"
 
+#include <algorithm>
+
 #include "sim/check.h"
 
 namespace bdisk::client {
@@ -11,13 +13,10 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
                              const VirtualClientOptions& options, sim::Rng rng)
     : simulator_(simulator),
       server_(server),
-      generator_(pattern),
-      think_(workload::ThinkTime::Exponential(options.mc_think_time /
-                                              options.think_time_ratio)),
+      rewarm_mean_(pattern.DbSize(), 0.0),
       options_(options),
       filter_(options.thres_perc, server->program().Length()),
       warm_cached_(pattern.DbSize(), false),
-      ideal_warm_(pattern.DbSize(), false),
       rng_(rng),
       snapshot_(server->program()) {
   BDISK_CHECK_MSG(simulator != nullptr, "client needs a simulator");
@@ -31,8 +30,35 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
                   "warmed cache must contain exactly CacheSize pages");
   for (const PageId p : warm_pages) {
     BDISK_CHECK_MSG(p < pattern.DbSize(), "warm page out of range");
+    BDISK_CHECK_MSG(!warm_cached_[p], "warm pages must be distinct");
     warm_cached_[p] = true;
-    ideal_warm_[p] = true;
+  }
+  // Split the paper's arrival stream (rate λ, page ~ q, steady coin σ) by
+  // (page, coin). Stream A keeps every part that always misses: warm-up
+  // accesses, and steady accesses to pages outside W. q sums to 1
+  // (AccessPattern checks it), so A's rate is λ·Z with
+  // Z = 1 − σ·Σ_{p∈W} q_p; at σ = 0 that is exactly 1 and the weights are
+  // q itself, so A is the paper's own stream.
+  const double sigma = options.steady_state_perc;
+  const double think_mean = options.mc_think_time / options.think_time_ratio;
+  std::vector<double> weights = pattern.probs();
+  double warm_mass = 0.0;
+  for (const PageId p : warm_pages) {
+    warm_mass += weights[p];
+    weights[p] *= 1.0 - sigma;
+  }
+  const double z = 1.0 - sigma * warm_mass;
+  // Z = 0 (σ = 1 and all of q in W), or a rounding residue of it: A never
+  // fires, and there is no distribution to sample.
+  if (z > 0.0 && std::any_of(weights.begin(), weights.end(),
+                             [](double w) { return w > 0.0; })) {
+    miss_pages_.emplace(weights);
+    miss_mean_ = think_mean / z;
+  }
+  // Stream B's rates: steady accesses to a page of W, rate λσq_p.
+  for (const PageId p : warm_pages) {
+    const double rate = sigma * pattern.probs()[p];
+    if (rate > 0.0) rewarm_mean_[p] = think_mean / rate;
   }
   if (options.fused) {
     // Whole-cycle threshold-decision table: one bit test per arrival
@@ -50,27 +76,62 @@ VirtualClient::~VirtualClient() {
 }
 
 void VirtualClient::Start() {
-  // Both paths draw the first think interval here, so the RNG stream is
+  // Both paths draw the first stream-A interval here, so the RNG stream is
   // consumed at the same point regardless of fusion.
-  const sim::SimTime first = think_.Next(rng_);
+  if (miss_pages_) {
+    next_arrival_ = simulator_->Now() + rng_.NextExponential(miss_mean_);
+  }
   if (options_.fused) {
-    next_arrival_ = simulator_->Now() + first;
     simulator_->RegisterLazySource(this);
     registered_ = true;
   } else {
-    wakeup_ = simulator_->ScheduleAfter(first, this);
+    ScheduleWakeup();
   }
 }
 
-void VirtualClient::OnInvalidate(PageId page, sim::SimTime /*now*/) {
+void VirtualClient::OnInvalidate(PageId page, sim::SimTime now) {
   // Barrier: arrivals strictly before the update must filter through the
   // still-warm copy, so drain before clearing the flag.
   simulator_->CatchUpLazySources();
+  // A page that is already cold keeps its pending clock: steady accesses
+  // are Poisson, so the wait left is Exp(λσq_p) whenever it is looked at.
+  if (!warm_cached_[page]) return;
   warm_cached_[page] = false;
+  const double mean = rewarm_mean_[page];
+  if (mean == 0.0) return;  // No steady accesses: the page stays cold.
+  const sim::SimTime due = now + rng_.NextExponential(mean);
+  cold_.push_back(ColdClock{due, page});
+  std::push_heap(cold_.begin(), cold_.end(), ClockAfter);
+  if (!options_.fused) {
+    if (wakeup_ != sim::kInvalidEventId) simulator_->Cancel(wakeup_);
+    ScheduleWakeup();
+  }
+}
+
+PageId VirtualClient::FireColdClock() {
+  std::pop_heap(cold_.begin(), cold_.end(), ClockAfter);
+  const PageId page = cold_.back().page;
+  cold_.pop_back();
+  // The steady miss re-fetches: the page re-enters the represented warm
+  // caches until the next update.
+  warm_cached_[page] = true;
+  return page;
+}
+
+void VirtualClient::Route(PageId page, bool pull, sim::SimTime at) {
+  if (pull) {
+    // SubmitRequestAt: a fused arrival is drained at a later barrier, but
+    // its trace record must carry its own arrival time. It never re-enters
+    // the VC (it does not drain lazy sources).
+    server_->SubmitRequestAt(page, obs::kVirtualClientId, at);
+    ++submitted_;
+  } else {
+    ++filtered_;
+  }
 }
 
 std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
-  if (next_arrival_ > horizon) return 0;
+  if (NextArrivalTime() > horizon) return 0;
   // The VC arrival hot path: one frame per non-empty drain, arrivals as
   // ops — never a per-arrival timestamp.
   obs::PhaseScope prof(simulator_->phase_profiler(),
@@ -88,60 +149,40 @@ std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon) {
   snapshot_.Freeze(server_->SchedulePosition());
   const std::uint32_t pos = snapshot_.Position();
   const broadcast::CycleSpanTable* table = span_table_.get();
-  const std::uint8_t* ideal = ideal_warm_.data();
-  std::uint8_t* warm = warm_cached_.data();
-  const double steady_perc = options_.steady_state_perc;
-  // The VC's think time is always exponential (see the ctor); drawing
-  // through NextExponential directly skips ThinkTime's per-draw kind
-  // branch without touching the draw stream.
-  const double think_mean = think_.Mean();
-  // Fused draw+classify pass. The RNG state and the arrival clock live in
-  // locals (registers) for the whole drain — FillArrivalBatch's bulk-draw
-  // loop with the classify folded in, which measures faster than filling
-  // SoA scratch and re-walking it (the columns' store/reload round-trip
-  // costs more than the classify saves; the draw order per arrival —
-  // page, steady coin, think — is the same either way). Arrivals stay
-  // sequential because warm re-fetches are order-dependent: an arrival
-  // can re-warm a page a later arrival in the same drain then hits. Only
-  // the rare submit arrivals (typically a few percent) take the call into
-  // the server, in timestamp order.
+  const auto should_pull = [&](PageId page) {
+    return table != nullptr ? table->ShouldPull(page, pos)
+                            : filter_.ShouldPull(snapshot_.Distance(page));
+  };
+  const sim::AliasSampler* pages = miss_pages_ ? &*miss_pages_ : nullptr;
+  const double miss_mean = miss_mean_;
+  // Fused draw+classify pass. The RNG state and the stream-A clock live in
+  // locals (registers) for the whole drain. Every drawn arrival misses, so
+  // the pass is draw page, draw interval, one bit test, and (almost
+  // always) the call into the server, in timestamp order. Stream B's
+  // earliest clock bounds each run of A arrivals; it is empty unless
+  // updates have made warm-set pages cold.
   sim::Rng local = rng_;
   sim::SimTime next = next_arrival_;
   std::uint64_t processed = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t filtered = 0;
-  while (next <= horizon) {
-    const sim::SimTime at = next;
-    const PageId page = generator_.Next(local);
-    const unsigned s = local.NextBernoulli(steady_perc) ? 1U : 0U;
-    next = at + local.NextExponential(think_mean);
-    const unsigned w = warm[page];
-    const unsigned hit = s & w;
-    const unsigned miss = hit ^ 1U;
-    const unsigned pull =
-        table != nullptr
-            ? static_cast<unsigned>(table->ShouldPull(page, pos))
-            : static_cast<unsigned>(
-                  filter_.ShouldPull(snapshot_.Distance(page)));
-    hits += hit;
-    filtered += miss & (pull ^ 1U);
-    // Steady misses re-fetch: the page re-enters the represented warm
-    // caches iff it belongs to the warm set. (warm ⊆ ideal always, so
-    // OR-ing the re-fetch bit equals ProcessArrival's assignment.)
-    warm[page] = static_cast<std::uint8_t>(w | (miss & s & ideal[page]));
-    if ((miss & pull) != 0U) {
-      // SubmitRequestAt never re-enters the VC (it does not drain lazy
-      // sources), so the register-resident locals stay coherent.
-      server_->SubmitRequestAt(page, obs::kVirtualClientId, at);
-      ++submitted_;
+  for (;;) {
+    const sim::SimTime cold_due =
+        cold_.empty() ? sim::kTimeNever : cold_.front().due;
+    const sim::SimTime stop = std::min(horizon, cold_due);
+    while (next <= stop) {
+      const sim::SimTime at = next;
+      const auto page = static_cast<PageId>(pages->Sample(local));
+      next = at + local.NextExponential(miss_mean);
+      Route(page, should_pull(page), at);
+      ++processed;
     }
+    if (cold_due > horizon) break;
+    const PageId page = FireColdClock();
+    Route(page, should_pull(page), cold_due);
     ++processed;
   }
   rng_ = local;
   next_arrival_ = next;
   generated_ += processed;
-  cache_hits_ += hits;
-  filtered_ += filtered;
   return processed;
 }
 
@@ -149,29 +190,25 @@ void VirtualClient::OnEvent() {
   obs::PhaseScope prof(simulator_->phase_profiler(),
                        obs::Phase::kVcArrival);
   prof.AddOps(1);
+  wakeup_ = sim::kInvalidEventId;
   const sim::SimTime now = simulator_->Now();
-  ProcessArrival(now);
-  wakeup_ = simulator_->ScheduleAfter(think_.Next(rng_), this);
+  // The one candidate due now, with the spine's tie rule (A first).
+  PageId page;
+  if (!cold_.empty() && cold_.front().due < next_arrival_) {
+    page = FireColdClock();
+  } else {
+    page = static_cast<PageId>(miss_pages_->Sample(rng_));
+    next_arrival_ = now + rng_.NextExponential(miss_mean_);
+  }
+  ++generated_;
+  Route(page, filter_.ShouldPull(server_->DistanceToNextPush(page)), now);
+  ScheduleWakeup();
 }
 
-void VirtualClient::ProcessArrival(sim::SimTime now) {
-  const PageId page = generator_.Next(rng_);
-  ++generated_;
-  // SteadyStatePerc coin: does this arrival come from a warmed-up client
-  // (filter through the ideal cache) or a warming-up one (always a miss)?
-  const bool steady = rng_.NextBernoulli(options_.steady_state_perc);
-  if (steady && warm_cached_[page]) {
-    ++cache_hits_;
-  } else if (!filter_.ShouldPull(server_->DistanceToNextPush(page))) {
-    ++filtered_;
-    if (steady) warm_cached_[page] = ideal_warm_[page];  // Re-fetched.
-  } else {
-    // SubmitRequestAt: a fused arrival is drained at a later barrier, but
-    // its trace record must carry its own arrival time.
-    server_->SubmitRequestAt(page, obs::kVirtualClientId, now);
-    ++submitted_;
-    if (steady) warm_cached_[page] = ideal_warm_[page];  // Re-fetched.
-  }
+void VirtualClient::ScheduleWakeup() {
+  const sim::SimTime at = NextArrivalTime();
+  wakeup_ = at == sim::kTimeNever ? sim::kInvalidEventId
+                                  : simulator_->ScheduleAt(at, this);
 }
 
 }  // namespace bdisk::client

@@ -1,8 +1,10 @@
 #ifndef BDISK_CLIENT_VIRTUAL_CLIENT_H_
 #define BDISK_CLIENT_VIRTUAL_CLIENT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "broadcast/distance_snapshot.h"
@@ -10,14 +12,13 @@
 #include "client/threshold_filter.h"
 #include "server/broadcast_server.h"
 #include "server/update_generator.h"
+#include "sim/alias_sampler.h"
 #include "sim/byte_mask.h"
 #include "sim/event_queue.h"
 #include "sim/lazy_source.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
-#include "workload/access_generator.h"
 #include "workload/access_pattern.h"
-#include "workload/think_time.h"
 
 namespace bdisk::client {
 
@@ -46,10 +47,10 @@ struct VirtualClientOptions {
   /// Fused (default): arrivals are batched through the simulator's
   /// lazy-source drain — one register-resident draw+classify pass against
   /// a barrier-frozen distance snapshot (the batched arrival spine) —
-  /// instead of costing one heap event each. Unfused reproduces the
-  /// one-heap-event-per-arrival schedule exactly; it is only the reference
-  /// the fused drain is tested against (core::VcPath). Either way the
-  /// trajectory is bit-identical; see DESIGN.md, "The lazy-source
+  /// instead of costing one heap event each. Unfused takes every candidate
+  /// arrival of the same two streams as its own heap event; it is only the
+  /// reference the fused drain is tested against (core::VcPath). Either
+  /// way the trajectory is bit-identical; see DESIGN.md, "The lazy-source
   /// contract" and "The batched arrival spine".
   bool fused = true;
 };
@@ -57,19 +58,30 @@ struct VirtualClientOptions {
 /// The Virtual Client (VC, §3.1): a single open-loop process standing in
 /// for the whole client population other than the measured client.
 ///
-/// Each arrival: draw a page from the canonical pattern; with probability
-/// SteadyStatePerc treat the represented client as warmed-up — its cache
-/// holds exactly the CacheSize highest-valued pages (the paper's own
-/// steady-state assumption), so only misses against that fixed set reach
-/// the backchannel; otherwise the represented client is warming up and
-/// every access is a miss. All submitted requests pass the threshold
-/// filter. The VC never blocks: it models aggregate *load*, so arrivals are
-/// independent of service (this is what lets the server saturate and drop
-/// requests, as the paper reports).
+/// The paper's process: Poisson arrivals at rate λ = ThinkTimeRatio /
+/// ThinkTime, each drawing a page from the canonical pattern q and, with
+/// probability SteadyStatePerc (σ), coming from a warmed-up client whose
+/// cache holds exactly the CacheSize highest-valued pages W (the paper's
+/// own steady-state assumption) — a hit there does nothing. Every other
+/// arrival is a miss that passes the threshold filter and, if it survives,
+/// reaches the backchannel; a steady miss on a page of W re-warms it. The
+/// VC never blocks: it models aggregate *load*, so arrivals are independent
+/// of service (this is what lets the server saturate and drop requests, as
+/// the paper reports).
+///
+/// Hits change nothing, so the VC draws only the arrivals that can miss
+/// (Poisson thinning, exact in distribution; DESIGN.md, "The batched
+/// arrival spine"):
+///  - stream A, rate λ·Σ_p q_p·(1 − σ·[p∈W]): warm-up accesses and steady
+///    accesses outside W, pages drawn from one alias table over those
+///    weights. They never change the warm set.
+///  - stream B: one clock per warm-set page made cold by an update, due
+///    after Exp(λσq_p); it is that page's next steady access, a miss that
+///    re-warms it.
 ///
 /// Never blocking is also what makes the VC a valid lazy source: its next
 /// arrival time depends only on its own RNG stream, and the state it reads
-/// (schedule cursor, warm flags) changes only at drain barriers.
+/// (schedule cursor, cold clocks) changes only at drain barriers.
 class VirtualClient : public sim::LazySource,
                       public sim::EventHandler,
                       public server::InvalidationListener {
@@ -93,45 +105,74 @@ class VirtualClient : public sim::LazySource,
   /// Volatile-data extension: an update knocks the page out of the
   /// represented warm caches; the next steady-state access to it misses,
   /// reaches the server, and re-warms it (the population re-fetches).
-  /// A barrier: arrivals up to `now` still see the page as warm.
+  /// A barrier: arrivals up to `now` still see the page as warm. A warm
+  /// page of W gets a stream-B clock; an already-cold page keeps its own.
   void OnInvalidate(PageId page, sim::SimTime now) override;
 
-  /// LazySource: the pre-drawn time of the next arrival (kTimeNever before
-  /// Start()).
-  sim::SimTime NextArrivalTime() const override { return next_arrival_; }
+  /// LazySource: the earlier of the next stream-A arrival and the earliest
+  /// cold clock (kTimeNever before Start() and when neither is pending).
+  sim::SimTime NextArrivalTime() const override {
+    return cold_.empty() ? next_arrival_
+                         : std::min(next_arrival_, cold_.front().due);
+  }
 
   /// LazySource: processes every arrival with timestamp <= `horizon`.
   std::uint64_t CatchUp(sim::SimTime horizon) override;
 
-  /// Lifetime counters.
+  /// Lifetime counters. RequestsGenerated counts the drawn (candidate)
+  /// arrivals of both streams, each of which is either filtered or
+  /// submitted; hits are never drawn.
   std::uint64_t RequestsGenerated() const { return generated_; }
-  std::uint64_t CacheHits() const { return cache_hits_; }
   std::uint64_t FilteredByThreshold() const { return filtered_; }
   std::uint64_t RequestsSubmitted() const { return submitted_; }
 
  private:
-  /// EventHandler: one unfused heap wakeup (the reference path).
+  /// A stream-B clock: the next steady access to a cold page of W.
+  struct ColdClock {
+    sim::SimTime due;
+    PageId page;
+  };
+
+  /// Heap order for cold_ (a min-heap on due time): the page breaks exact
+  /// ties so the order never depends on insertion history.
+  static bool ClockAfter(const ColdClock& a, const ColdClock& b) {
+    return a.due != b.due ? a.due > b.due : a.page > b.page;
+  }
+
+  /// EventHandler: one unfused heap wakeup (the reference path), which
+  /// processes the single candidate at NextArrivalTime().
   void OnEvent() override;
 
-  /// One unfused arrival at time `now`: draw the page, the steady-state
-  /// coin, and route through warm cache / threshold filter / backchannel.
-  void ProcessArrival(sim::SimTime now);
+  /// Reference path: (re)arms the one wakeup at NextArrivalTime().
+  void ScheduleWakeup();
+
+  /// Removes the earliest cold clock, re-warms its page, and returns it.
+  PageId FireColdClock();
+
+  /// Sends a candidate arrival on (`pull`) or counts it as filtered.
+  void Route(PageId page, bool pull, sim::SimTime at);
 
   /// The drain body behind CatchUp: the batched spine, bit-identical to
-  /// ProcessArrival one arrival at a time (see DESIGN.md).
+  /// OnEvent one candidate at a time (see DESIGN.md).
   std::uint64_t DrainSpine(sim::SimTime horizon);
 
   sim::Simulator* simulator_;
   server::BroadcastServer* server_;
-  workload::AccessGenerator generator_;
-  workload::ThinkTime think_;
+  // Stream A: the page table over q_p·(1 − σ·[p∈W]) and its mean
+  // inter-arrival time; empty when those weights are all zero (A never
+  // fires).
+  std::optional<sim::AliasSampler> miss_pages_;
+  double miss_mean_ = 0.0;
+  // Stream B: per page, the mean time to its next steady access
+  // 1/(λσq_p); 0 for pages outside W or without steady accesses.
+  std::vector<double> rewarm_mean_;
+  std::vector<ColdClock> cold_;  // Min-heap on (due, page).
   VirtualClientOptions options_;
   ThresholdFilter filter_;
-  sim::ByteMask warm_cached_;  // Currently valid warm copies.
-  sim::ByteMask ideal_warm_;   // The warm set itself (never changes).
+  sim::ByteMask warm_cached_;  // Pages of W with a valid warm copy.
   sim::Rng rng_;
 
-  sim::SimTime next_arrival_ = sim::kTimeNever;   // Fused path.
+  sim::SimTime next_arrival_ = sim::kTimeNever;   // Next stream-A arrival.
   bool registered_ = false;                       // Fused path.
   sim::EventId wakeup_ = sim::kInvalidEventId;    // Unfused path.
 
@@ -142,7 +183,6 @@ class VirtualClient : public sim::LazySource,
   std::unique_ptr<const broadcast::CycleSpanTable> span_table_;
 
   std::uint64_t generated_ = 0;
-  std::uint64_t cache_hits_ = 0;
   std::uint64_t filtered_ = 0;
   std::uint64_t submitted_ = 0;
 };

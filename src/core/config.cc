@@ -1,5 +1,8 @@
 #include "core/config.h"
 
+#include <cmath>
+#include <utility>
+
 #include "obs/flight_recorder.h"
 #include "obs/frame_sink.h"
 
@@ -30,6 +33,26 @@ double SystemConfig::EffectivePullBw() const {
 }
 
 std::string SystemConfig::Validate() const {
+  // NaN passes every range comparison below, and no field has a meaning
+  // at infinity, so each real-valued field must be finite first.
+  const std::pair<const char*, double> reals[] = {
+      {"pull_bw", pull_bw},
+      {"thres_perc", thres_perc},
+      {"zipf_theta", zipf_theta},
+      {"noise", noise},
+      {"mc_think_time", mc_think_time},
+      {"think_time_ratio", think_time_ratio},
+      {"steady_state_perc", steady_state_perc},
+      {"mc_retry_interval", mc_retry_interval},
+      {"update_rate", update_rate},
+      {"update_zipf_theta", update_zipf_theta.value_or(0.0)},
+      {"obs_window", obs_window},
+  };
+  for (const auto& [name, value] : reals) {
+    if (!std::isfinite(value)) {
+      return std::string(name) + " must be a finite number";
+    }
+  }
   if (server_db_size == 0) return "server_db_size must be positive";
   if (mode != DeliveryMode::kPurePull) {
     const std::string disk_error = disks.Validate();

@@ -1,10 +1,15 @@
 #include "core/config_io.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.h"
@@ -20,28 +25,50 @@ std::string Trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+// A number must fill the whole value and fit its field: strtod/strtoull
+// alone would also take "nan", "inf" and a leading '-' (which strtoull
+// negates modulo 2^64), strtoull saturates on overflow, and both stop
+// quietly at an embedded NUL. Each of those is an invalid value.
 bool ParseDouble(const std::string& value, double* out) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') return false;
+  if (value.empty() || end != value.c_str() + value.size() ||
+      !std::isfinite(parsed)) {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+bool ParseU64(const std::string& value, std::uint64_t* out) {
+  if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
+  if (end != value.c_str() + value.size() || errno == ERANGE) return false;
   *out = parsed;
   return true;
 }
 
 bool ParseU32(const std::string& value, std::uint32_t* out) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') return false;
+  std::uint64_t parsed = 0;
+  if (!ParseU64(value, &parsed) ||
+      parsed > std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
   *out = static_cast<std::uint32_t>(parsed);
   return true;
 }
 
-bool ParseU64(const std::string& value, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') return false;
-  *out = parsed;
-  return true;
+// The shortest text that parses back to exactly `value`, so printed
+// configs round-trip bit for bit.
+std::string Real(double value) {
+  char buf[32];
+  const std::to_chars_result result =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, result.ptr);
 }
 
 bool ParseBool(const std::string& value, bool* out) {
@@ -56,16 +83,19 @@ bool ParseBool(const std::string& value, bool* out) {
   return false;
 }
 
+// Leaves `out` untouched unless the whole list parses.
 bool ParseU32List(const std::string& value, std::vector<std::uint32_t>* out) {
-  out->clear();
+  std::vector<std::uint32_t> list;
   std::stringstream stream(value);
   std::string item;
   while (std::getline(stream, item, ',')) {
     std::uint32_t parsed = 0;
     if (!ParseU32(Trim(item), &parsed)) return false;
-    out->push_back(parsed);
+    list.push_back(parsed);
   }
-  return !out->empty();
+  if (list.empty()) return false;
+  *out = std::move(list);
+  return true;
 }
 
 }  // namespace
@@ -338,8 +368,8 @@ std::string ConfigToText(const SystemConfig& config) {
   }
   out << "\n";
   out << "server_queue_size = " << config.server_queue_size << "\n";
-  out << "pull_bw = " << config.pull_bw << "\n";
-  out << "thres_perc = " << config.thres_perc << "\n";
+  out << "pull_bw = " << Real(config.pull_bw) << "\n";
+  out << "thres_perc = " << Real(config.thres_perc) << "\n";
   out << "chop_count = " << config.chop_count << "\n";
   if (config.offset.has_value()) {
     out << "offset = " << *config.offset << "\n";
@@ -350,14 +380,14 @@ std::string ConfigToText(const SystemConfig& config) {
       << (config.chunking == broadcast::ChunkingMode::kPad ? "pad"
                                                            : "balanced")
       << "\n";
-  out << "zipf_theta = " << config.zipf_theta << "\n";
-  out << "noise = " << config.noise << "\n";
+  out << "zipf_theta = " << Real(config.zipf_theta) << "\n";
+  out << "noise = " << Real(config.noise) << "\n";
   out << "cache_size = " << config.cache_size << "\n";
-  out << "mc_think_time = " << config.mc_think_time << "\n";
-  out << "think_time_ratio = " << config.think_time_ratio << "\n";
-  out << "steady_state_perc = " << config.steady_state_perc << "\n";
+  out << "mc_think_time = " << Real(config.mc_think_time) << "\n";
+  out << "think_time_ratio = " << Real(config.think_time_ratio) << "\n";
+  out << "steady_state_perc = " << Real(config.steady_state_perc) << "\n";
   out << "vc_enabled = " << (config.vc_enabled ? "true" : "false") << "\n";
-  out << "mc_retry_interval = " << config.mc_retry_interval << "\n";
+  out << "mc_retry_interval = " << Real(config.mc_retry_interval) << "\n";
   if (config.mc_policy.has_value()) {
     const char* policy = cache::PolicyKindName(*config.mc_policy);
     std::string lower(policy);
@@ -365,16 +395,16 @@ std::string ConfigToText(const SystemConfig& config) {
     out << "mc_policy = " << lower << "\n";
   }
   out << "seed = " << config.seed << "\n";
-  out << "update_rate = " << config.update_rate << "\n";
+  out << "update_rate = " << Real(config.update_rate) << "\n";
   if (config.update_zipf_theta.has_value()) {
-    out << "update_zipf_theta = " << *config.update_zipf_theta << "\n";
+    out << "update_zipf_theta = " << Real(*config.update_zipf_theta) << "\n";
   }
   out << "mc_prefetch = " << (config.mc_prefetch ? "true" : "false") << "\n";
   out << "adaptive_pull_bw = "
       << (config.adaptive_pull_bw ? "true" : "false") << "\n";
   out << "adaptive_threshold = "
       << (config.adaptive_threshold ? "true" : "false") << "\n";
-  out << "obs_window = " << config.obs_window << "\n";
+  out << "obs_window = " << Real(config.obs_window) << "\n";
   if (!config.flight_recorder.empty()) {
     out << "flight_recorder = " << config.flight_recorder << "\n";
   }
@@ -385,29 +415,29 @@ std::string ConfigToText(const SystemConfig& config) {
   if (!config.frames.empty()) {
     out << "frames = " << config.frames << "\n";
   }
-  if (config.fault.Enabled()) {
-    // An inert (all-default) plan is omitted entirely so pre-fault config
-    // text stays byte-identical; an enabled plan is written in full.
+  if (config.fault != fault::FaultPlan{}) {
+    // An all-default plan is omitted entirely so pre-fault config text
+    // stays byte-identical; any other plan is written in full.
     const fault::FaultPlan& f = config.fault;
-    out << "fault.slot_loss = " << f.slot_loss << "\n";
-    out << "fault.slot_corruption = " << f.slot_corruption << "\n";
-    out << "fault.request_loss = " << f.request_loss << "\n";
-    out << "fault.request_delay = " << f.request_delay << "\n";
-    out << "fault.outage_start = " << f.outage_start << "\n";
-    out << "fault.outage_duration = " << f.outage_duration << "\n";
-    out << "fault.outage_period = " << f.outage_period << "\n";
+    out << "fault.slot_loss = " << Real(f.slot_loss) << "\n";
+    out << "fault.slot_corruption = " << Real(f.slot_corruption) << "\n";
+    out << "fault.request_loss = " << Real(f.request_loss) << "\n";
+    out << "fault.request_delay = " << Real(f.request_delay) << "\n";
+    out << "fault.outage_start = " << Real(f.outage_start) << "\n";
+    out << "fault.outage_duration = " << Real(f.outage_duration) << "\n";
+    out << "fault.outage_period = " << Real(f.outage_period) << "\n";
     out << "fault.brownout = " << (f.brownout ? "true" : "false") << "\n";
-    out << "fault.mc_timeout = " << f.mc_timeout << "\n";
+    out << "fault.mc_timeout = " << Real(f.mc_timeout) << "\n";
     out << "fault.mc_max_retries = " << f.mc_max_retries << "\n";
-    out << "fault.mc_backoff = " << f.mc_backoff << "\n";
-    out << "fault.mc_backoff_cap = " << f.mc_backoff_cap << "\n";
-    out << "fault.mc_jitter = " << f.mc_jitter << "\n";
+    out << "fault.mc_backoff = " << Real(f.mc_backoff) << "\n";
+    out << "fault.mc_backoff_cap = " << Real(f.mc_backoff_cap) << "\n";
+    out << "fault.mc_jitter = " << Real(f.mc_jitter) << "\n";
     out << "fault.mc_dead_threshold = " << f.mc_dead_threshold << "\n";
-    out << "fault.mc_probe_interval = " << f.mc_probe_interval << "\n";
-    out << "fault.shed_hi = " << f.shed_hi << "\n";
-    out << "fault.shed_lo = " << f.shed_lo << "\n";
+    out << "fault.mc_probe_interval = " << Real(f.mc_probe_interval) << "\n";
+    out << "fault.shed_hi = " << Real(f.shed_hi) << "\n";
+    out << "fault.shed_lo = " << Real(f.shed_lo) << "\n";
     out << "fault.shed_distance = " << f.shed_distance << "\n";
-    out << "fault.degraded_pull_bw = " << f.degraded_pull_bw << "\n";
+    out << "fault.degraded_pull_bw = " << Real(f.degraded_pull_bw) << "\n";
   }
   return out.str();
 }

@@ -75,8 +75,9 @@ struct RunResult {
   std::uint64_t mc_cache_removals = 0;
 
   /// VC counters over the entire run (all 0 without a virtual client).
+  /// Generated counts drawn candidate arrivals (= filtered + submitted);
+  /// the VC never draws its warm-cache hits.
   std::uint64_t vc_requests_generated = 0;
-  std::uint64_t vc_cache_hits = 0;
   std::uint64_t vc_filtered = 0;
   std::uint64_t vc_submitted = 0;
 

@@ -419,7 +419,6 @@ void System::SnapshotMetrics(obs::MetricsRegistry* registry) const {
   registry->ExportHistogram("client.mc.response", mc_->response_histogram());
   if (vc_) {
     counter("client.vc.requests_generated", vc_->RequestsGenerated());
-    counter("client.vc.cache_hits", vc_->CacheHits());
     counter("client.vc.filtered", vc_->FilteredByThreshold());
     counter("client.vc.submitted", vc_->RequestsSubmitted());
   }
@@ -520,7 +519,6 @@ RunResult System::CollectResult(bool converged) const {
   result.mc_cache_removals = mc_->cache().Removals();
   if (vc_) {
     result.vc_requests_generated = vc_->RequestsGenerated();
-    result.vc_cache_hits = vc_->CacheHits();
     result.vc_filtered = vc_->FilteredByThreshold();
     result.vc_submitted = vc_->RequestsSubmitted();
   }

@@ -1,6 +1,8 @@
 #include "fault/fault_plan.h"
 
+#include <cmath>
 #include <sstream>
+#include <utility>
 
 namespace bdisk::fault {
 
@@ -21,6 +23,29 @@ std::string NonNegativeError(const char* key, double value) {
 }  // namespace
 
 std::string FaultPlan::Validate() const {
+  // NaN passes every range comparison below; infinity means nothing here.
+  const std::pair<const char*, double> reals[] = {
+      {"fault.slot_loss", slot_loss},
+      {"fault.slot_corruption", slot_corruption},
+      {"fault.request_loss", request_loss},
+      {"fault.request_delay", request_delay},
+      {"fault.outage_start", outage_start},
+      {"fault.outage_duration", outage_duration},
+      {"fault.outage_period", outage_period},
+      {"fault.mc_timeout", mc_timeout},
+      {"fault.mc_backoff", mc_backoff},
+      {"fault.mc_backoff_cap", mc_backoff_cap},
+      {"fault.mc_jitter", mc_jitter},
+      {"fault.mc_probe_interval", mc_probe_interval},
+      {"fault.shed_hi", shed_hi},
+      {"fault.shed_lo", shed_lo},
+      {"fault.degraded_pull_bw", degraded_pull_bw},
+  };
+  for (const auto& [name, value] : reals) {
+    if (!std::isfinite(value)) {
+      return std::string(name) + " must be a finite number";
+    }
+  }
   if (slot_loss < 0.0 || slot_loss > 1.0) {
     return ProbabilityError("fault.slot_loss", slot_loss);
   }

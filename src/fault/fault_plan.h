@@ -121,6 +121,8 @@ struct FaultPlan {
 
   /// Returns an error description, or empty when self-consistent.
   std::string Validate() const;
+
+  bool operator==(const FaultPlan&) const = default;
 };
 
 }  // namespace bdisk::fault

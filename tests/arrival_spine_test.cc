@@ -1,8 +1,8 @@
-// FillArrivalBatch is the bulk-draw half of the batched arrival spine: it
-// must consume the VC's RNG stream in exactly the scalar order — page,
-// steady coin, think — per arrival, stop at the horizon, and leave the
-// stream positioned where the scalar loop would. Any deviation shows up
-// as a trajectory divergence, so these tests pin it draw-for-draw.
+// FillArrivalBatch bulk-draws the full, unthinned VC arrival stream (the
+// benchmark harness replays it): it must consume the RNG stream in exactly
+// the scalar order — page, steady coin, think — per arrival, stop at the
+// horizon, and leave the stream positioned where the scalar loop would.
+// These tests pin it draw-for-draw.
 
 #include "client/arrival_spine.h"
 

@@ -54,6 +54,61 @@ TEST(ConfigIoTest, RejectsUnknownKeysAndBadValues) {
   EXPECT_NE(ApplyConfigOption("disk_sizes", "", &config), "");
 }
 
+TEST(ConfigIoTest, RejectsOutOfRangeNegativeAndNonFiniteNumbers) {
+  const struct {
+    const char* key;
+    const char* value;
+  } cases[] = {
+      {"cache_size", "4294967396"},   // 2^32 + 100: would wrap to 100.
+      {"cache_size", "4294967296"},   // 2^32.
+      {"server_queue_size", "-1"},    // strtoull would give 2^64 - 1.
+      {"server_db_size", "-0"},
+      {"disk_sizes", "10,-40,50"},
+      {"offset", "99999999999"},
+      {"seed", "18446744073709551616"},  // 2^64: strtoull saturates.
+      {"seed", "-5"},
+      {"think_time_ratio", "inf"},
+      {"think_time_ratio", "nan"},
+      {"pull_bw", "nan"},
+      {"pull_bw", "-nan"},
+      {"mc_think_time", "infinity"},
+      {"thres_perc", "1e999"},
+      {"update_zipf_theta", "inf"},
+      {"obs_window", "nan"},
+      {"fault.slot_loss", "nan"},
+      {"fault.request_delay", "inf"},
+      {"fault.mc_max_retries", "4294967296"},
+  };
+  for (const auto& c : cases) {
+    SystemConfig config;
+    const SystemConfig before = config;
+    EXPECT_EQ(ApplyConfigOption(c.key, c.value, &config),
+              std::string("invalid value for ") + c.key)
+        << c.key << "=" << c.value;
+    EXPECT_EQ(ConfigToText(config), ConfigToText(before))
+        << "a rejected value must leave the config untouched";
+  }
+  // The edges of the ranges still parse.
+  SystemConfig config;
+  EXPECT_EQ(ApplyConfigOption("cache_size", "4294967295", &config), "");
+  EXPECT_EQ(config.cache_size, 4294967295U);
+  EXPECT_EQ(ApplyConfigOption("seed", "18446744073709551615", &config), "");
+  EXPECT_EQ(config.seed, 18446744073709551615ULL);
+  EXPECT_EQ(ApplyConfigOption("thres_perc", "1e-300", &config), "");
+}
+
+TEST(ConfigIoTest, PrintedRealsRoundTripExactly) {
+  SystemConfig config;
+  config.pull_bw = 0.1 + 0.2;  // Not a short decimal.
+  config.think_time_ratio = 1.0 / 3.0;
+  config.fault.mc_backoff = 2.718281828459045;  // Plan otherwise inert.
+  SystemConfig parsed;
+  ASSERT_EQ(ParseConfigText(ConfigToText(config), &parsed), "");
+  EXPECT_EQ(parsed.pull_bw, config.pull_bw);
+  EXPECT_EQ(parsed.think_time_ratio, config.think_time_ratio);
+  EXPECT_EQ(parsed.fault, config.fault);
+}
+
 TEST(ConfigIoTest, ParsesWholeText) {
   SystemConfig config;
   const std::string text =

@@ -1,5 +1,7 @@
 #include "core/config.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace bdisk::core {
@@ -93,6 +95,31 @@ TEST(ConfigTest, RejectsBadFractions) {
   config = SystemConfig{};
   config.pull_bw = 1.0001;
   EXPECT_FALSE(config.Validate().empty());
+}
+
+TEST(ConfigTest, RejectsNonFiniteReals) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    SystemConfig config;
+    config.pull_bw = bad;
+    EXPECT_NE(config.Validate().find("pull_bw"), std::string::npos);
+    config = SystemConfig{};
+    config.think_time_ratio = bad;
+    EXPECT_NE(config.Validate().find("think_time_ratio"), std::string::npos);
+    config = SystemConfig{};
+    config.steady_state_perc = bad;
+    EXPECT_FALSE(config.Validate().empty());
+    config = SystemConfig{};
+    config.update_zipf_theta = bad;
+    EXPECT_FALSE(config.Validate().empty());
+    config = SystemConfig{};
+    config.fault.slot_loss = bad;
+    EXPECT_NE(config.Validate().find("fault.slot_loss"), std::string::npos);
+    config = SystemConfig{};
+    config.fault.mc_backoff = bad;
+    EXPECT_FALSE(config.Validate().empty());
+  }
 }
 
 TEST(ConfigTest, ExplicitOffsetOverridesDefault) {

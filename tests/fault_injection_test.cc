@@ -143,10 +143,11 @@ TEST(FaultInjectionTest, FusedMatchesUnfusedUnderFaults) {
 
 TEST(FaultInjectionTest, RequestDelayKeepsItsPinnedTrajectory) {
   // Delayed requests ride the server's delay line on every VC path, so the
-  // fused-vs-reference pair cannot catch a shift in delay semantics. These
-  // values were recorded when each delayed request was its own heap event
-  // and every VC arrival was too; the spine with the delay line must
-  // reproduce them exactly.
+  // fused-vs-reference pair cannot catch a shift in delay semantics. The
+  // delay semantics were pinned when each delayed request was its own heap
+  // event and every VC arrival was too; these values are that pin re-taken
+  // when the VC switched to its thinned arrival streams (new RNG stream,
+  // same delay line).
   core::SystemConfig config = SmallLoadedConfig();
   config.fault.request_delay = 2.0;
   config.fault.request_loss = 0.05;
@@ -160,17 +161,17 @@ TEST(FaultInjectionTest, RequestDelayKeepsItsPinnedTrajectory) {
   system.AttachTrace(&sink);
   const core::RunResult r = system.RunSteadyState(QuickProtocol());
   EXPECT_GT(r.kernel.lazy_arrivals_fused, 0U);
-  EXPECT_EQ(r.mean_response, 34.961333333333343);
-  EXPECT_EQ(r.requests_accepted, 15861U);
-  EXPECT_EQ(r.requests_coalesced, 20699U);
-  EXPECT_EQ(r.requests_dropped, 110947U);
-  EXPECT_EQ(r.requests_dropped_outage, 12053U);
-  EXPECT_EQ(r.fault_requests_lost, 8419U);
-  EXPECT_EQ(r.fault_requests_delayed, 159575U);
-  EXPECT_EQ(r.mc_retries_sent, 251U);
-  EXPECT_EQ(r.sim_time_end, 34314.0);
+  EXPECT_EQ(r.mean_response, 30.884000000000011);
+  EXPECT_EQ(r.requests_accepted, 14824U);
+  EXPECT_EQ(r.requests_coalesced, 19098U);
+  EXPECT_EQ(r.requests_dropped, 103766U);
+  EXPECT_EQ(r.requests_dropped_outage, 11378U);
+  EXPECT_EQ(r.fault_requests_lost, 7905U);
+  EXPECT_EQ(r.fault_requests_delayed, 149077U);
+  EXPECT_EQ(r.mc_retries_sent, 229U);
+  EXPECT_EQ(r.sim_time_end, 31964.0);
   EXPECT_EQ(sink.DroppedEvents(), 0U);
-  EXPECT_EQ(sink.Events().size(), 206770U);
+  EXPECT_EQ(sink.Events().size(), 193168U);
 }
 
 TEST(FaultInjectionTest, SlotLossRateIsRoughlyHonouredSystemWide) {

@@ -130,7 +130,6 @@ void ExpectFusionInvariant(core::SystemConfig config) {
   EXPECT_EQ(fused.mc_retries_sent, unfused.mc_retries_sent);
   EXPECT_EQ(fused.mc_invalidations, unfused.mc_invalidations);
   EXPECT_EQ(fused.vc_requests_generated, unfused.vc_requests_generated);
-  EXPECT_EQ(fused.vc_cache_hits, unfused.vc_cache_hits);
   EXPECT_EQ(fused.vc_filtered, unfused.vc_filtered);
   EXPECT_EQ(fused.vc_submitted, unfused.vc_submitted);
   EXPECT_EQ(fused.updates_generated, unfused.updates_generated);

@@ -60,11 +60,15 @@ TEST(GoldenTest, SmallSystemSteadyStateIsBitStable) {
   EXPECT_EQ(a.sim_time_end, b.sim_time_end);
 }
 
-// Exact end-to-end outputs for all three delivery modes, captured from the
-// pre-rewrite std::function/unordered_set event kernel. The zero-allocation
-// kernel (intrusive handlers, generation-tagged ids, periodic slot timer)
-// must reproduce every stream bit-for-bit: same event order, same RNG
-// draws, same event count. Constants are hexfloats so the pin is exact.
+// Exact end-to-end outputs for all three delivery modes, first captured
+// from the pre-rewrite std::function/unordered_set event kernel. The
+// zero-allocation kernel (intrusive handlers, generation-tagged ids,
+// periodic slot timer) reproduced every stream bit-for-bit: same event
+// order, same RNG draws, same event count. Pure-Pull and IPP were re-pinned
+// when the virtual client switched to its thinned arrival streams (it no
+// longer draws its warm-cache hits, which changes its RNG stream but not
+// its distribution); Pure-Push has no VC and keeps its original pin.
+// Constants are hexfloats so the pin is exact.
 struct ModeGolden {
   core::DeliveryMode mode;
   double mean_response;
@@ -87,12 +91,12 @@ TEST(GoldenTest, SteadyStateStreamsMatchPreKernelSwapPins) {
       {core::DeliveryMode::kPurePush, 0x1.60189374bc6a7p+4,
        0x1.16371dfac03a6p+10, 1500, 1610, 0, 0, 0, 0, 0x1p+0, 0x0p+0, 0x0p+0,
        0x1.5928p+15, 45788},
-      {core::DeliveryMode::kPurePull, 0x1.0d3b645a1cabcp+5,
-       0x1.7e557cbee20e3p+12, 2000, 2110, 1040, 205450, 27590, 95163, 0x0p+0,
-       0x1.fffe6a3590dfep-1, 0x1.95ca6f2026bc8p-17, 0x1.4301p+16, 498008},
-      {core::DeliveryMode::kIpp, 0x1.d8dd2f1a9fbeap+4, 0x1.5c78959bf4953p+11,
-       1500, 1610, 643, 109094, 16095, 64963, 0x1.fe10bbb49d06cp-2,
-       0x1.00f7a225b17cap-1, 0x0p+0, 0x1.b442p+15, 336183},
+      {core::DeliveryMode::kPurePull, 0x1.09e8ca11bfd4cp+5,
+       0x1.68080dd1b0d1ep+12, 1500, 1610, 784, 153908, 20467, 71416, 0x0p+0,
+       0x1.fffde2f069ad1p-1, 0x1.0e87cb297a51ep-16, 0x1.e48p+15, 216748},
+      {core::DeliveryMode::kIpp, 0x1.b0c49ba5e3541p+4, 0x1.24e2fa9acdbc9p+11,
+       1500, 1610, 611, 102747, 14912, 61332, 0x1.fd9523509af2dp-2,
+       0x1.01356e57b2869p-1, 0x0p+0, 0x1.9c02p+15, 184258},
   };
 
   for (const ModeGolden& g : kGolden) {
@@ -130,11 +134,11 @@ TEST(GoldenTest, SteadyStateStreamsMatchPreKernelSwapPins) {
     EXPECT_EQ(r.pull_slot_frac, g.pull_slot_frac);
     EXPECT_EQ(r.idle_slot_frac, g.idle_slot_frac);
     EXPECT_EQ(r.sim_time_end, g.sim_time_end);
-    // The events_executed constants were pinned before VC event fusion.
-    // Each fused arrival was exactly one heap event back then, so the sum
-    // is invariant: fusion may only move events out of the heap, never
+    // The events_executed constants count every VC candidate arrival as
+    // one heap event, as the per-arrival reference schedules them, so the
+    // sum is invariant: fusion may only move events out of the heap, never
     // change how many arrivals happen or in what order. (Pure-Push has no
-    // VC, so there the pin still holds exactly.)
+    // VC, so there the pin holds exactly.)
     EXPECT_EQ(system.simulator().EventsExecuted() +
                   system.simulator().FusedArrivals(),
               g.events_executed);

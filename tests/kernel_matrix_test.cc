@@ -79,7 +79,6 @@ void ExpectSameTrajectory(const core::RunResult& a, const core::RunResult& b,
   EXPECT_EQ(a.mc_retries_sent, b.mc_retries_sent);
   EXPECT_EQ(a.mc_invalidations, b.mc_invalidations);
   EXPECT_EQ(a.vc_requests_generated, b.vc_requests_generated);
-  EXPECT_EQ(a.vc_cache_hits, b.vc_cache_hits);
   EXPECT_EQ(a.vc_filtered, b.vc_filtered);
   EXPECT_EQ(a.vc_submitted, b.vc_submitted);
   EXPECT_EQ(a.updates_generated, b.updates_generated);
