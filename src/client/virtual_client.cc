@@ -1,6 +1,7 @@
 #include "client/virtual_client.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/check.h"
 
@@ -18,7 +19,18 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
       filter_(options.thres_perc, server->program().Length()),
       warm_cached_(pattern.DbSize(), false),
       rng_(rng),
-      snapshot_(server->program()) {
+      snapshot_(server->program()),
+      // Whole-cycle threshold-decision table (spine only): one bit test
+      // per arrival instead of an occurrence search. Null (empty program,
+      // or a degenerate cycle too large for the bitset) falls back to the
+      // snapshot's memoized per-page search.
+      span_table_(options.fused ? broadcast::CycleSpanTable::BuildIfFeasible(
+                                      server->program(),
+                                      filter_.ThresholdSlots())
+                                : nullptr),
+      split_(server->program(), span_table_.get(), filter_.ThresholdSlots(),
+             server->queue()),
+      record_rng_(sim::Rng(rng).Split()) {
   BDISK_CHECK_MSG(simulator != nullptr, "client needs a simulator");
   BDISK_CHECK_MSG(server != nullptr, "client needs a server");
   BDISK_CHECK_MSG(options.think_time_ratio > 0.0,
@@ -54,23 +66,18 @@ VirtualClient::VirtualClient(sim::Simulator* simulator,
                              [](double w) { return w > 0.0; })) {
     miss_pages_.emplace(weights);
     miss_mean_ = think_mean / z;
+    miss_rate_ = 1.0 / miss_mean_;
+    exp_neg_miss_rate_ = std::exp(-miss_rate_);
   }
   // Stream B's rates: steady accesses to a page of W, rate λσq_p.
   for (const PageId p : warm_pages) {
     const double rate = sigma * pattern.probs()[p];
     if (rate > 0.0) rewarm_mean_[p] = think_mean / rate;
   }
-  if (options.fused) {
-    // Whole-cycle threshold-decision table: one bit test per arrival
-    // instead of an occurrence search. Null (empty program, or a
-    // degenerate cycle too large for the bitset) falls back to the
-    // snapshot's memoized per-page search.
-    span_table_ = broadcast::CycleSpanTable::BuildIfFeasible(
-        server->program(), filter_.ThresholdSlots());
-  }
 }
 
 VirtualClient::~VirtualClient() {
+  server_->SetPullQueueListener(nullptr);
   if (registered_) simulator_->UnregisterLazySource(this);
   if (wakeup_ != sim::kInvalidEventId) simulator_->Cancel(wakeup_);
 }
@@ -102,6 +109,8 @@ void VirtualClient::OnInvalidate(PageId page, sim::SimTime now) {
   const sim::SimTime due = now + rng_.NextExponential(mean);
   cold_.push_back(ColdClock{due, page});
   std::push_heap(cold_.begin(), cold_.end(), ClockAfter);
+  // A pending clock ends the collapse: B fires (and re-warms) per arrival.
+  if (collapsed_) EndCollapse(now);
   if (!options_.fused) {
     if (wakeup_ != sim::kInvalidEventId) simulator_->Cancel(wakeup_);
     ScheduleWakeup();
@@ -132,16 +141,23 @@ void VirtualClient::Route(PageId page, bool pull, sim::SimTime at) {
 
 std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
   if (NextArrivalTime() > horizon) return 0;
-  // The VC arrival hot path: one frame per non-empty drain, arrivals as
-  // ops — never a per-arrival timestamp.
+  // The VC arrival hot path: one frame per non-empty drain, arrivals
+  // (drawn or counted) as ops — never a per-arrival timestamp.
   obs::PhaseScope prof(simulator_->phase_profiler(),
                        obs::Phase::kVcArrival);
-  const std::uint64_t processed = DrainSpine(horizon);
-  prof.AddOps(processed);
-  return processed;
+  std::uint64_t drawn = 0;
+  std::uint64_t counted = 0;
+  if (collapsed_) {
+    counted = CloseSegment(horizon);
+  } else {
+    drawn = DrainSpine(horizon, &counted);
+  }
+  prof.AddOps(drawn + counted);
+  return drawn;
 }
 
-std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon) {
+std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon,
+                                        std::uint64_t* counted) {
   // Barrier-frozen snapshot: the cursor cannot move during a drain (it
   // only advances in the server's slot decision, which runs after the
   // CatchUpLazySources barrier), so one position serves the whole batch —
@@ -160,10 +176,12 @@ std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon) {
   // the pass is draw page, draw interval, one bit test, and (almost
   // always) the call into the server, in timestamp order. Stream B's
   // earliest clock bounds each run of A arrivals; it is empty unless
-  // updates have made warm-set pages cold.
+  // updates have made warm-set pages cold. An arrival that leaves the
+  // queue full and inert ends the pass: the rest of the drain collapses.
   sim::Rng local = rng_;
   sim::SimTime next = next_arrival_;
   std::uint64_t processed = 0;
+  sim::SimTime full_at = sim::kTimeNever;
   for (;;) {
     const sim::SimTime cold_due =
         cold_.empty() ? sim::kTimeNever : cold_.front().due;
@@ -174,16 +192,161 @@ std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon) {
       next = at + local.NextExponential(miss_mean);
       Route(page, should_pull(page), at);
       ++processed;
+      if (CanCollapse()) {
+        full_at = at;
+        break;
+      }
     }
-    if (cold_due > horizon) break;
+    if (full_at != sim::kTimeNever || cold_due > horizon) break;
     const PageId page = FireColdClock();
     Route(page, should_pull(page), cold_due);
     ++processed;
+    if (CanCollapse()) {
+      full_at = cold_due;
+      break;
+    }
   }
   rng_ = local;
   next_arrival_ = next;
   generated_ += processed;
+  if (full_at != sim::kTimeNever) {
+    EnterCollapse(full_at);
+    if (horizon > full_at) *counted = CloseSegment(horizon);
+  }
   return processed;
+}
+
+bool VirtualClient::CanCollapse() const {
+  return miss_pages_ && cold_.empty() && server_->FullQueueIsInert();
+}
+
+void VirtualClient::EnterCollapse(sim::SimTime at) {
+  if (!split_.Ready()) {
+    // First collapse: from here on every accept and pop is tracked (a run
+    // whose queue never fills never pays for the notifications).
+    split_.Init(*miss_pages_, server_->SchedulePosition());
+    server_->SetPullQueueListener(this);
+  }
+  // The pending stream-A draw is discarded: whether to collapse was
+  // decided at `at` without looking at it, and the arrivals after `at`
+  // are Poisson whatever it was.
+  collapsed_ = true;
+  segment_start_ = at;
+  next_arrival_ = std::nextafter(at, sim::kTimeNever);
+  if (!options_.fused) {
+    // The reference leaves the heap and is drained at the same barriers
+    // as the spine until the pop.
+    simulator_->RegisterLazySource(this);
+    registered_ = true;
+  }
+}
+
+std::uint64_t VirtualClient::CloseSegment(sim::SimTime horizon) {
+  // Inside (segment_start_, horizon] neither the cursor nor the queue can
+  // change (both move only at barriers, and every barrier closes a
+  // segment), so the arrivals split by the frozen class masses: Poisson
+  // splitting makes the three counts exact.
+  const double span = horizon - segment_start_;
+  split_.Sync(server_->SchedulePosition());
+  const std::uint64_t total = split_.Total();
+  const std::uint64_t mf = split_.Filtered();
+  const std::uint64_t mc = split_.Coalesced();
+  const double mean = span * miss_rate_;
+  std::uint64_t filtered = 0;
+  std::uint64_t coalesced = 0;
+  std::uint64_t dropped = 0;
+  if (mean < sim::Rng::kPoissonInversionMax) {
+    // One count, then a class coin per arrival (few arrivals). A whole
+    // slot's e^{-mean} is cached.
+    const std::uint64_t n = rng_.NextPoissonByInversion(
+        mean, span == 1.0 ? exp_neg_miss_rate_ : std::exp(-mean));
+    if (mf == 0 && mc == 0) {
+      dropped = n;
+    } else {
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t u = rng_.NextBounded(total);
+        if (u < mf) {
+          ++filtered;
+        } else if (u < mf + mc) {
+          ++coalesced;
+        } else {
+          ++dropped;
+        }
+      }
+    }
+  } else {
+    // Many arrivals: three independent Poisson counts, O(1) each.
+    const double scale = mean / static_cast<double>(total);
+    filtered = rng_.NextPoisson(scale * static_cast<double>(mf));
+    coalesced = rng_.NextPoisson(scale * static_cast<double>(mc));
+    dropped =
+        rng_.NextPoisson(scale * static_cast<double>(total - mf - mc));
+  }
+  const std::uint64_t n = filtered + coalesced + dropped;
+  generated_ += n;
+  if (server_->ObservesRequests()) {
+    ExpandSegment(horizon, filtered, coalesced, dropped);
+  } else {
+    filtered_ += filtered;
+    submitted_ += coalesced + dropped;
+    server_->NoteFullQueueArrivals(coalesced, dropped);
+  }
+  segment_start_ = horizon;
+  next_arrival_ = std::nextafter(horizon, sim::kTimeNever);
+  return n;
+}
+
+void VirtualClient::ExpandSegment(sim::SimTime horizon,
+                                  std::uint64_t filtered,
+                                  std::uint64_t coalesced,
+                                  std::uint64_t dropped) {
+  // Given the counts, the arrivals of each class are iid uniform in the
+  // segment, with pages from w restricted to the class: sample exactly
+  // that, from record_rng_, and route each record like a drawn arrival
+  // (the queue then coalesces or drops it, as its class says).
+  enum : std::uint8_t { kFiltered, kCoalesced, kDropped };
+  const double span = horizon - segment_start_;
+  records_.clear();
+  const auto add = [&](std::uint64_t count, std::uint8_t cls) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      records_.emplace_back(horizon - span * record_rng_.NextDouble(), cls);
+    }
+  };
+  add(filtered, kFiltered);
+  add(coalesced, kCoalesced);
+  add(dropped, kDropped);
+  std::sort(records_.begin(), records_.end());
+  const server::PullQueue& queue = server_->queue();
+  const auto class_of = [&](PageId page) -> std::uint8_t {
+    if (split_.IsFiltered(page)) return kFiltered;
+    return queue.IsQueued(page) ? kCoalesced : kDropped;
+  };
+  for (const auto& [at, cls] : records_) {
+    PageId page;
+    do {
+      page = static_cast<PageId>(miss_pages_->Sample(record_rng_));
+    } while (class_of(page) != cls);
+    Route(page, cls != kFiltered, at);
+  }
+}
+
+void VirtualClient::OnDequeued(PageId page) {
+  split_.OnDequeued(page);
+  if (!collapsed_) return;
+  // The pop runs after its slot barrier, which closed the segment.
+  const sim::SimTime now = simulator_->Now();
+  BDISK_DCHECK(segment_start_ == now);
+  EndCollapse(now);
+  if (!options_.fused) ScheduleWakeup();
+}
+
+void VirtualClient::EndCollapse(sim::SimTime now) {
+  collapsed_ = false;
+  next_arrival_ = now + rng_.NextExponential(miss_mean_);
+  if (registered_ && !options_.fused) {
+    simulator_->UnregisterLazySource(this);
+    registered_ = false;
+  }
 }
 
 void VirtualClient::OnEvent() {
@@ -202,7 +365,11 @@ void VirtualClient::OnEvent() {
   }
   ++generated_;
   Route(page, filter_.ShouldPull(server_->DistanceToNextPush(page)), now);
-  ScheduleWakeup();
+  if (CanCollapse()) {
+    EnterCollapse(now);
+  } else {
+    ScheduleWakeup();
+  }
 }
 
 void VirtualClient::ScheduleWakeup() {

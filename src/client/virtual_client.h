@@ -5,10 +5,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "broadcast/distance_snapshot.h"
 #include "broadcast/span_table.h"
+#include "client/full_queue_split.h"
 #include "client/threshold_filter.h"
 #include "server/broadcast_server.h"
 #include "server/update_generator.h"
@@ -82,9 +84,18 @@ struct VirtualClientOptions {
 /// Never blocking is also what makes the VC a valid lazy source: its next
 /// arrival time depends only on its own RNG stream, and the state it reads
 /// (schedule cursor, cold clocks) changes only at drain barriers.
+///
+/// While the pull queue is full (and the server judges no faults, and no
+/// stream-B clock is pending) stream-A arrivals change nothing but
+/// counters, so the VC stops drawing them one by one: it collapses, and
+/// each barrier closes the segment since the last one with a Poisson count
+/// split into filtered, coalesced and dropped by the class masses at the
+/// frozen (cursor, queue). The first pop ends the collapse (DESIGN.md,
+/// "Full-queue collapse").
 class VirtualClient : public sim::LazySource,
                       public sim::EventHandler,
-                      public server::InvalidationListener {
+                      public server::InvalidationListener,
+                      public server::PullQueueListener {
  public:
   /// `pattern` is the canonical (server-side) access pattern; `warm_pages`
   /// the ideal cache contents under the active value metric (PIX for
@@ -111,17 +122,25 @@ class VirtualClient : public sim::LazySource,
 
   /// LazySource: the earlier of the next stream-A arrival and the earliest
   /// cold clock (kTimeNever before Start() and when neither is pending).
+  /// While collapsed, the first instant after the last closed segment.
   sim::SimTime NextArrivalTime() const override {
     return cold_.empty() ? next_arrival_
                          : std::min(next_arrival_, cold_.front().due);
   }
 
   /// LazySource: processes every arrival with timestamp <= `horizon`.
+  /// Returns the drawn ones; collapsed arrivals are counted, not drawn.
   std::uint64_t CatchUp(sim::SimTime horizon) override;
 
-  /// Lifetime counters. RequestsGenerated counts the drawn (candidate)
-  /// arrivals of both streams, each of which is either filtered or
-  /// submitted; hits are never drawn.
+  /// PullQueueListener (attached at the first collapse): keeps the
+  /// collapse's queued mass; a pop ends the collapse (the queue has room
+  /// again).
+  void OnQueued(PageId page) override { split_.OnQueued(page); }
+  void OnDequeued(PageId page) override;
+
+  /// Lifetime counters. RequestsGenerated counts the candidate arrivals
+  /// of both streams (drawn, or counted while collapsed), each of which is
+  /// either filtered or submitted; hits are never drawn.
   std::uint64_t RequestsGenerated() const { return generated_; }
   std::uint64_t FilteredByThreshold() const { return filtered_; }
   std::uint64_t RequestsSubmitted() const { return submitted_; }
@@ -154,7 +173,32 @@ class VirtualClient : public sim::LazySource,
 
   /// The drain body behind CatchUp: the batched spine, bit-identical to
   /// OnEvent one candidate at a time (see DESIGN.md).
-  std::uint64_t DrainSpine(sim::SimTime horizon);
+  /// A drain that ends in a collapse closes the rest as a segment and
+  /// adds its arrival count to `counted`.
+  std::uint64_t DrainSpine(sim::SimTime horizon, std::uint64_t* counted);
+
+  /// True when the next arrivals may be counted instead of drawn: stream
+  /// A exists, no cold clock is pending, and the queue is full and inert.
+  bool CanCollapse() const;
+
+  /// Enters the collapse after the arrival at `at` (CanCollapse() holds);
+  /// the pending stream-A draw is discarded.
+  void EnterCollapse(sim::SimTime at);
+
+  /// Closes the collapsed segment (segment_start_, horizon]: draws its
+  /// filtered / coalesced / dropped counts and books them (or, with a
+  /// request observer attached, expands them into records). Returns the
+  /// arrival count.
+  std::uint64_t CloseSegment(sim::SimTime horizon);
+
+  /// Observer form of CloseSegment's booking: per-arrival records with
+  /// times and pages from record_rng_, routed like drawn arrivals.
+  void ExpandSegment(sim::SimTime horizon, std::uint64_t filtered,
+                     std::uint64_t coalesced, std::uint64_t dropped);
+
+  /// Leaves the collapse at `now`: the next stream-A arrival is
+  /// now + Exp (memoryless).
+  void EndCollapse(sim::SimTime now);
 
   sim::Simulator* simulator_;
   server::BroadcastServer* server_;
@@ -173,7 +217,7 @@ class VirtualClient : public sim::LazySource,
   sim::Rng rng_;
 
   sim::SimTime next_arrival_ = sim::kTimeNever;   // Next stream-A arrival.
-  bool registered_ = false;                       // Fused path.
+  bool registered_ = false;  // Fused path; the reference while collapsed.
   sim::EventId wakeup_ = sim::kInvalidEventId;    // Unfused path.
 
   // Spine state (fused path only): the barrier-frozen distance snapshot
@@ -181,6 +225,19 @@ class VirtualClient : public sim::LazySource,
   // back to the snapshot's memoized search).
   broadcast::DistanceSnapshot snapshot_;
   std::unique_ptr<const broadcast::CycleSpanTable> span_table_;
+
+  // Full-queue collapse. segment_start_ is the last closed time; the
+  // masses are tracked by split_ (built at the first collapse). Stream A's
+  // rate and e^{-rate} (a whole slot's Poisson mean and its inversion
+  // start) are cached. record_rng_ only feeds observer records, so
+  // attaching an observer never moves rng_.
+  bool collapsed_ = false;
+  sim::SimTime segment_start_ = 0.0;
+  FullQueueSplit split_;
+  double miss_rate_ = 0.0;
+  double exp_neg_miss_rate_ = 1.0;
+  sim::Rng record_rng_;
+  std::vector<std::pair<sim::SimTime, std::uint8_t>> records_;
 
   std::uint64_t generated_ = 0;
   std::uint64_t filtered_ = 0;

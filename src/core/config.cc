@@ -1,6 +1,7 @@
 #include "core/config.h"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -101,6 +102,10 @@ std::string SystemConfig::Validate() const {
            "nothing to adapt";
   }
   if (update_rate < 0.0) return "update_rate must be non-negative";
+  if (update_rate > static_cast<double>(server_db_size)) {
+    return "update_rate must be at most server_db_size (" +
+           std::to_string(server_db_size) + ") updates per slot";
+  }
   if (update_zipf_theta.has_value() && *update_zipf_theta < 0.0) {
     return "update_zipf_theta must be non-negative";
   }

@@ -88,7 +88,9 @@ struct SystemConfig {
   // companion study [Acha96b]) ---
   /// Server-side page updates per broadcast unit (Poisson); 0 = read-only,
   /// the paper's baseline. Updated pages are invalidated in client caches
-  /// via an (instantaneous, free) invalidation report.
+  /// via an (instantaneous, free) invalidation report. At most
+  /// server_db_size: every update is its own event and barrier, and past
+  /// one update per page per slot no cached copy survives anyway.
   double update_rate = 0.0;
   /// Zipf skew of the update distribution; defaults to zipf_theta (hot
   /// pages change most often).

@@ -181,6 +181,9 @@ SubmitResult BroadcastServer::SubmitArrived(PageId page, std::uint32_t client,
     }
   }
   const SubmitResult result = queue_.Submit(page);
+  if (result == SubmitResult::kAccepted && queue_listener_ != nullptr) {
+    queue_listener_->OnQueued(page);
+  }
   if (trace_ != nullptr) {
     const sim::TraceEventKind kind =
         result == SubmitResult::kAccepted
@@ -366,6 +369,9 @@ void BroadcastServer::ChooseNextSlot() {
     in_flight_page_ = queue_.PopFront();
     in_flight_kind_ = SlotKind::kPull;
     ++pull_slots_;
+    if (queue_listener_ != nullptr) {
+      queue_listener_->OnDequeued(in_flight_page_);
+    }
     if (shed_enter_depth_ > 0) UpdateDegraded(simulator_->Now());
   } else if (cursor_) {
     in_flight_page_ = cursor_->Advance();

@@ -46,6 +46,16 @@ class BroadcastListener {
   virtual void OnBroadcast(PageId page, SlotKind kind, sim::SimTime now) = 0;
 };
 
+/// Told of every change to the pull queue's contents: a page accepted
+/// into the queue, and a page popped from it for a pull slot (after the
+/// slot barrier, at the slot's start).
+class PullQueueListener {
+ public:
+  virtual ~PullQueueListener() = default;
+  virtual void OnQueued(PageId page) = 0;
+  virtual void OnDequeued(PageId page) = 0;
+};
+
 /// The broadcast server: one page per broadcast unit, interleaving the
 /// periodic Broadcast Disk program with responses to backchannel pulls.
 ///
@@ -174,6 +184,30 @@ class BroadcastServer : public sim::EventHandler {
   SubmitResult SubmitRequestAt(PageId page, std::uint32_t client,
                                sim::SimTime at);
 
+  /// Attaches the one pull-queue listener (not owned; null detaches).
+  void SetPullQueueListener(PullQueueListener* listener) {
+    queue_listener_ = listener;
+  }
+
+  /// True when an arriving request can only be coalesced or dropped: the
+  /// queue is full and no fault injector judges requests one by one.
+  /// Until the next pop, arrivals then change nothing but counters.
+  bool FullQueueIsInert() const {
+    return injector_ == nullptr && queue_.Full();
+  }
+
+  /// Bulk form of that many inert submits (FullQueueIsInert() must hold):
+  /// the queue counters move as the submits would, with no records.
+  void NoteFullQueueArrivals(std::uint64_t coalesced, std::uint64_t dropped) {
+    queue_.NoteFullQueueArrivals(coalesced, dropped);
+  }
+
+  /// True when some observer wants a record per submit (trace recorder,
+  /// trace sink, or windowed collector).
+  bool ObservesRequests() const {
+    return trace_ != nullptr || sink_ != nullptr || collector_ != nullptr;
+  }
+
   /// The periodic program (empty for Pure-Pull).
   const broadcast::BroadcastProgram& program() const { return *program_; }
 
@@ -245,6 +279,7 @@ class BroadcastServer : public sim::EventHandler {
   obs::WindowedCollector* collector_ = nullptr;
   obs::TelemetryBus* telemetry_bus_ = nullptr;
   obs::PhaseProfiler* profiler_ = nullptr;
+  PullQueueListener* queue_listener_ = nullptr;
 
   // Fault-injection state (inert while injector_ is null). The watermark
   // depths and shed distance are resolved once in SetFaultInjector.

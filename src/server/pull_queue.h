@@ -6,6 +6,7 @@
 
 #include "broadcast/page.h"
 #include "sim/byte_mask.h"
+#include "sim/check.h"
 
 namespace bdisk::server {
 
@@ -55,6 +56,7 @@ class PullQueue {
   bool IsQueued(PageId page) const { return queued_[page]; }
 
   bool Empty() const { return count_ == 0; }
+  bool Full() const { return count_ >= capacity_; }
   std::uint32_t Size() const { return count_; }
   std::uint32_t Capacity() const { return capacity_; }
 
@@ -71,6 +73,17 @@ class PullQueue {
   void NoteOutageDrop() {
     ++submitted_;
     ++dropped_outage_;
+  }
+
+  /// Records requests that reached the full queue and left it unchanged,
+  /// in bulk: `coalesced` for queued pages, `dropped` for the rest. The
+  /// counters move exactly as that many Submit calls would move them
+  /// (the virtual client's full-queue collapse; DESIGN.md).
+  void NoteFullQueueArrivals(std::uint64_t coalesced, std::uint64_t dropped) {
+    BDISK_DCHECK(Full());
+    submitted_ += coalesced + dropped;
+    coalesced_ += coalesced;
+    dropped_ += dropped;
   }
 
   /// Lifetime counters. DroppedCount is capacity overflow only; shed and

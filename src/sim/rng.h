@@ -84,12 +84,50 @@ class Rng {
     return -mean * std::log1p(-NextDouble());
   }
 
+  /// Poisson variates: means below this use inversion, at or above it
+  /// Hörmann's transformed rejection (PTRS).
+  static constexpr double kPoissonInversionMax = 10.0;
+
+  /// Poisson variate with the given mean (>= 0, finite). Exact for every
+  /// mean: inversion (expected O(mean) steps) below kPoissonInversionMax,
+  /// PTRS (O(1) expected) above, so a count over a huge exposure costs
+  /// the same as a small one.
+  std::uint64_t NextPoisson(double mean) {
+    BDISK_DCHECK(mean >= 0.0);
+    if (mean < kPoissonInversionMax) {
+      return NextPoissonByInversion(mean, std::exp(-mean));
+    }
+    return NextPoissonPtrs(mean);
+  }
+
+  /// The inversion branch of NextPoisson with `exp_neg_mean` ==
+  /// std::exp(-mean) supplied by the caller, who may cache it across draws
+  /// of the same mean (< kPoissonInversionMax). One uniform, then a
+  /// sequential search up the cdf.
+  std::uint64_t NextPoissonByInversion(double mean, double exp_neg_mean) {
+    double u = NextDouble();
+    double p = exp_neg_mean;
+    std::uint64_t k = 0;
+    while (u > p) {
+      u -= p;
+      ++k;
+      p *= mean / static_cast<double>(k);
+      // Far in the tail the terms underflow; u's rounding residue is
+      // all that is left, so stop there.
+      if (p == 0.0) break;
+    }
+    return k;
+  }
+
   /// Creates an independent child stream; deterministic given this
   /// generator's current state. Useful for giving each model component its
   /// own stream so adding a component never perturbs another's draws.
   Rng Split();
 
  private:
+  /// NextPoisson for mean >= kPoissonInversionMax.
+  std::uint64_t NextPoissonPtrs(double mean);
+
   static std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

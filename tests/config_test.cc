@@ -122,6 +122,21 @@ TEST(ConfigTest, RejectsNonFiniteReals) {
   }
 }
 
+// Each update is its own event and barrier, so the rate is capped at one
+// update per page per slot; the error names the key and the ceiling.
+TEST(ConfigTest, RejectsUpdateRateAboveTheDatabaseSize) {
+  SystemConfig config;
+  config.update_rate = static_cast<double>(config.server_db_size);
+  EXPECT_EQ(config.Validate(), "");
+  config.update_rate = 1e9;
+  EXPECT_EQ(config.Validate(),
+            "update_rate must be at most server_db_size (1000) updates per "
+            "slot");
+  config.server_db_size = 2000'000'000;
+  config.update_rate = 1e9;
+  EXPECT_EQ(config.Validate().find("update_rate"), std::string::npos);
+}
+
 TEST(ConfigTest, ExplicitOffsetOverridesDefault) {
   SystemConfig config;
   config.offset = 0;

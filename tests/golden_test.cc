@@ -67,7 +67,9 @@ TEST(GoldenTest, SmallSystemSteadyStateIsBitStable) {
 // order, same RNG draws, same event count. Pure-Pull and IPP were re-pinned
 // when the virtual client switched to its thinned arrival streams (it no
 // longer draws its warm-cache hits, which changes its RNG stream but not
-// its distribution); Pure-Push has no VC and keeps its original pin.
+// its distribution), and again when it started counting instead of
+// drawing its arrivals while the queue is full (same argument); Pure-Push
+// has no VC and keeps its original pin.
 // Constants are hexfloats so the pin is exact.
 struct ModeGolden {
   core::DeliveryMode mode;
@@ -91,12 +93,12 @@ TEST(GoldenTest, SteadyStateStreamsMatchPreKernelSwapPins) {
       {core::DeliveryMode::kPurePush, 0x1.60189374bc6a7p+4,
        0x1.16371dfac03a6p+10, 1500, 1610, 0, 0, 0, 0, 0x1p+0, 0x0p+0, 0x0p+0,
        0x1.5928p+15, 45788},
-      {core::DeliveryMode::kPurePull, 0x1.09e8ca11bfd4cp+5,
-       0x1.68080dd1b0d1ep+12, 1500, 1610, 784, 153908, 20467, 71416, 0x0p+0,
-       0x1.fffde2f069ad1p-1, 0x1.0e87cb297a51ep-16, 0x1.e48p+15, 216748},
-      {core::DeliveryMode::kIpp, 0x1.b0c49ba5e3541p+4, 0x1.24e2fa9acdbc9p+11,
-       1500, 1610, 611, 102747, 14912, 61332, 0x1.fd9523509af2dp-2,
-       0x1.01356e57b2869p-1, 0x0p+0, 0x1.9c02p+15, 184258},
+      {core::DeliveryMode::kPurePull, 0x1.0f983c131d5b1p+5,
+       0x1.d81f61ec797cp+12, 1500, 1610, 784, 157069, 20880, 72903, 0x0p+0,
+       0x1.fffdedb8b4e44p-1, 0x1.0923a58de30a7p-16, 0x1.ee5ap+15, 137198},
+      {core::DeliveryMode::kIpp, 0x1.b792c5f92c5fcp+4, 0x1.32305f45d392cp+11,
+       1500, 1610, 613, 103300, 15025, 61712, 0x1.fdaa78aa7edd5p-2,
+       0x1.012ac3aac0916p-1, 0x0p+0, 0x1.9d02p+15, 93481},
   };
 
   for (const ModeGolden& g : kGolden) {
@@ -134,11 +136,12 @@ TEST(GoldenTest, SteadyStateStreamsMatchPreKernelSwapPins) {
     EXPECT_EQ(r.pull_slot_frac, g.pull_slot_frac);
     EXPECT_EQ(r.idle_slot_frac, g.idle_slot_frac);
     EXPECT_EQ(r.sim_time_end, g.sim_time_end);
-    // The events_executed constants count every VC candidate arrival as
-    // one heap event, as the per-arrival reference schedules them, so the
-    // sum is invariant: fusion may only move events out of the heap, never
-    // change how many arrivals happen or in what order. (Pure-Push has no
-    // VC, so there the pin holds exactly.)
+    // The events_executed constants count every drawn VC arrival as one
+    // heap event, as the per-arrival reference schedules them, so the sum
+    // is invariant: fusion may only move events out of the heap, never
+    // change how many arrivals happen or in what order. Arrivals counted
+    // by the full-queue collapse are heap events on neither path. (Pure-
+    // Push has no VC, so there the pin holds exactly.)
     EXPECT_EQ(system.simulator().EventsExecuted() +
                   system.simulator().FusedArrivals(),
               g.events_executed);
@@ -147,9 +150,12 @@ TEST(GoldenTest, SteadyStateStreamsMatchPreKernelSwapPins) {
       EXPECT_EQ(system.simulator().FusedArrivals(), 0U);
     } else {
       // Fusion is on by default and the VC dominates the event count, so
-      // most dispatches must have left the heap.
-      EXPECT_GT(system.simulator().FusedArrivals(),
+      // most dispatches must have left the heap: the VC's arrivals, fused
+      // or counted by the collapse, outnumber the heap events.
+      ASSERT_NE(system.vc(), nullptr);
+      EXPECT_GT(system.vc()->RequestsGenerated(),
                 system.simulator().EventsExecuted());
+      EXPECT_GT(system.simulator().FusedArrivals(), 0U);
     }
   }
 }

@@ -149,17 +149,21 @@ TEST(KernelMatrixTest, TrajectoryInvariantAcrossQueueAndBatching) {
 }
 
 TEST(KernelMatrixTest, TrajectoryInvariantUnfused) {
-  // The unfused VC path schedules every arrival as a one-shot — far more
-  // churn through the heap, and spans break at every arrival. A heavier
-  // VC (think-time ratio 250) makes arrivals outnumber slots; the
+  // The unfused VC path schedules every drawn arrival as a one-shot —
+  // far more churn through the heap, and spans break at every arrival. A
+  // heavier VC (think-time ratio 250) makes arrivals outnumber slots; the
   // reference must really take that path and still match the fused cell.
+  // The queue is full most of the time at this load, so most arrivals
+  // are counted by the full-queue collapse, not drawn: they outnumber
+  // slots only together with the drawn ones.
   core::SystemConfig config = SmallLoadedConfig();
   config.think_time_ratio = 250.0;
   const std::vector<core::RunResult> results = ExpectMatrixInvariant(config);
   ASSERT_EQ(results.size(), 2U);
   const core::RunResult& fused = results[0];
   const core::RunResult& unfused = results[1];
-  EXPECT_GT(fused.kernel.lazy_arrivals_fused, fused.kernel.periodic_rearms);
+  EXPECT_GT(fused.vc_requests_generated, fused.kernel.periodic_rearms);
+  EXPECT_GT(fused.kernel.lazy_arrivals_fused, 0U);
   EXPECT_EQ(unfused.kernel.events_executed,
             fused.kernel.events_executed + fused.kernel.lazy_arrivals_fused);
   EXPECT_GT(unfused.kernel.periodic_spans, fused.kernel.periodic_spans);
@@ -251,6 +255,43 @@ TEST(KernelMatrixTest, TraceStreamsIdenticalAcrossMatrix) {
   ASSERT_EQ(config.Validate(), "");
   SCOPED_TRACE("active plan");
   ExpectTraceStreamsIdentical(config);
+}
+
+// Saturated: the queue is full nearly always, so the VC spends most of
+// the run collapsed, counting each barrier segment's arrivals. Both cells
+// take the collapse at the same arrivals and close the same segments, so
+// they stay bit-identical; request observers expand the counts into
+// records from a private stream, so attaching them moves no counter.
+TEST(KernelMatrixTest, TrajectoryInvariantWithSaturatedQueue) {
+  core::SystemConfig config = SmallLoadedConfig();
+  config.think_time_ratio = 250.0;
+  config.thres_perc = 0.0;
+  config.update_rate = 0.02;  // Invalidations end collapses too.
+  const std::vector<core::RunResult> results = ExpectMatrixInvariant(config);
+  ASSERT_EQ(results.size(), 2U);
+  // Most arrivals were counted, not drawn.
+  EXPECT_GT(results[0].vc_requests_generated,
+            4 * results[0].kernel.lazy_arrivals_fused);
+  ExpectTraceStreamsIdentical(config);
+
+  for (const Cell cell : kMatrix) {
+    core::System plain(config, nullptr, cell);
+    const core::RunResult reference = plain.RunSteadyState(SmallProtocol());
+
+    core::System observed(config, nullptr, cell);
+    obs::TraceSink sink(1 << 22);
+    obs::WindowedCollector collector(config.obs_window);
+    obs::TelemetryBus bus(std::make_unique<obs::CaptureFrameSink>());
+    bus.EnableWallClock(false);
+    observed.AttachTrace(&sink);
+    observed.AttachWindowedCollector(&collector);
+    observed.AttachTelemetryBus(&bus);
+    const core::RunResult result = observed.RunSteadyState(SmallProtocol());
+    ExpectSameTrajectory(reference, result,
+                         CellName(cell) + " observers off vs on");
+    EXPECT_EQ(sink.DroppedEvents(), 0U) << CellName(cell);
+    EXPECT_GT(bus.WindowFrames(), 0U) << CellName(cell);
+  }
 }
 
 // Profiler arm: attaching the wall-clock phase profiler is a pure

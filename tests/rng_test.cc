@@ -1,5 +1,6 @@
 #include "sim/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -130,6 +131,136 @@ TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   static_assert(Rng::max() == ~0ULL);
   Rng rng(1);
   EXPECT_NE(rng(), rng());
+}
+
+// --- NextPoisson ----------------------------------------------------------
+
+// Upper 0.001 point of chi-square with `df` degrees of freedom
+// (Wilson-Hilferty).
+double ChiSquareCritical(double df) {
+  const double z = 3.090;
+  const double a = 2.0 / (9.0 * df);
+  return df * std::pow(1.0 - a + z * std::sqrt(a), 3.0);
+}
+
+double PoissonPmf(double mean, double k) {
+  return std::exp(-mean + k * std::log(mean) - std::lgamma(k + 1.0));
+}
+
+// Draws `n` variates at `mean` and tests them against the exact pmf:
+// consecutive values are pooled into bins of >= 20 expected draws (the
+// two tails join the end bins), then a chi-square goodness-of-fit at the
+// 0.001 level. Also checks the sample mean and variance within four
+// standard errors (the variance of s^2 is (m + 2m^2)/n for a Poisson).
+void ExpectPoissonDistribution(double mean, std::uint64_t seed, int n) {
+  SCOPED_TRACE(testing::Message() << "mean " << mean);
+  Rng rng(seed);
+  std::vector<std::uint64_t> draws(n);
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (std::uint64_t& x : draws) {
+    x = rng.NextPoisson(mean);
+    const double d = static_cast<double>(x) - mean;
+    sum += d;
+    sum_sq += d * d;
+  }
+  const double nd = n;
+  EXPECT_LT(std::fabs(sum / nd), 4.0 * std::sqrt(mean / nd));
+  const double var = (sum_sq - sum * sum / nd) / (nd - 1.0);
+  EXPECT_LT(std::fabs(var - mean),
+            4.0 * std::sqrt((mean + 2.0 * mean * mean) / nd));
+
+  // Bin edges: bin b holds [edge[b], edge[b+1]).
+  const double spread = 12.0 * std::sqrt(mean) + 12.0;
+  const auto lo = static_cast<std::uint64_t>(std::max(0.0, mean - spread));
+  const auto hi = static_cast<std::uint64_t>(mean + spread);
+  std::vector<std::uint64_t> edges = {0};
+  std::vector<double> expected = {0.0};
+  for (std::uint64_t k = lo; k <= hi; ++k) {
+    if (expected.back() >= 20.0) {
+      edges.push_back(k);
+      expected.push_back(0.0);
+    }
+    expected.back() += nd * PoissonPmf(mean, static_cast<double>(k));
+  }
+  // The last bin is open-ended and takes the whole right tail; a short
+  // last bin joins its neighbour.
+  if (expected.size() > 1 && expected.back() < 20.0) {
+    expected[expected.size() - 2] += expected.back();
+    expected.pop_back();
+    edges.pop_back();
+  }
+  double inner = 0.0;
+  for (std::size_t b = 0; b + 1 < expected.size(); ++b) inner += expected[b];
+  expected.back() = nd - inner;
+  ASSERT_GE(expected.size(), 2U);
+  std::vector<double> observed(expected.size(), 0.0);
+  for (const std::uint64_t x : draws) {
+    const auto it = std::upper_bound(edges.begin(), edges.end(), x);
+    observed[static_cast<std::size_t>(it - edges.begin()) - 1] += 1.0;
+  }
+  double x2 = 0.0;
+  for (std::size_t b = 0; b < expected.size(); ++b) {
+    const double d = observed[b] - expected[b];
+    x2 += d * d / expected[b];
+  }
+  const double df = static_cast<double>(expected.size() - 1);
+  EXPECT_LT(x2, ChiSquareCritical(df)) << "df " << df;
+}
+
+TEST(RngTest, PoissonMatchesPmfAtTinyMean) {
+  ExpectPoissonDistribution(1e-3, 31, 400000);
+}
+
+TEST(RngTest, PoissonMatchesPmfBelowOne) {
+  ExpectPoissonDistribution(0.5, 32, 200000);
+}
+
+TEST(RngTest, PoissonMatchesPmfAtSaturatedSlotMean) {
+  // The saturated benchmark's stream-A arrivals per slot.
+  ExpectPoissonDistribution(4.75, 33, 200000);
+}
+
+TEST(RngTest, PoissonMatchesPmfOnTheRejectionBranch) {
+  ExpectPoissonDistribution(40.0, 34, 200000);
+}
+
+TEST(RngTest, PoissonMatchesPmfAtHugeMean) {
+  ExpectPoissonDistribution(1e6, 35, 200000);
+}
+
+TEST(RngTest, PoissonZeroMeanIsZero) {
+  Rng rng(36);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.NextPoisson(0.0), 0U);
+}
+
+TEST(RngTest, PoissonInversionWithCachedStartMatchesNextPoisson) {
+  Rng a(37);
+  Rng b(37);
+  const double mean = 4.75;
+  const double start = std::exp(-mean);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(a.NextPoissonByInversion(mean, start), b.NextPoisson(mean));
+  }
+  EXPECT_EQ(a.Next(), b.Next());
+}
+
+// Like GoldenTest.RngStreamFirstDraws: the first variates on each branch
+// define the stream the virtual client's collapsed counts come from.
+TEST(RngTest, PoissonFirstDraws) {
+  Rng rng(20260704);
+  const double means[] = {1e-3, 0.5, 4.75, 9.99, 10.0, 40.0, 1e6, 5e7};
+  const std::uint64_t kPinned[] = {
+      0,       0,       0,       0,        1,        1,
+      3,       7,       0,       11,       12,       7,
+      10,      7,       9,       42,       47,       41,
+      997718,  1002205, 996647,  49998628, 50005546, 49999079};
+  std::vector<std::uint64_t> got;
+  for (const double m : means) {
+    for (int i = 0; i < 3; ++i) got.push_back(rng.NextPoisson(m));
+  }
+  EXPECT_EQ(got, std::vector<std::uint64_t>(std::begin(kPinned),
+                                            std::end(kPinned)));
 }
 
 }  // namespace
