@@ -145,19 +145,15 @@ std::uint64_t VirtualClient::CatchUp(sim::SimTime horizon) {
   // (drawn or counted) as ops — never a per-arrival timestamp.
   obs::PhaseScope prof(simulator_->phase_profiler(),
                        obs::Phase::kVcArrival);
-  std::uint64_t drawn = 0;
-  std::uint64_t counted = 0;
-  if (collapsed_) {
-    counted = CloseSegment(horizon);
-  } else {
-    drawn = DrainSpine(horizon, &counted);
-  }
+  const std::uint64_t drawn = collapsed_ ? 0 : DrainSpine(horizon);
+  // A drain that collapsed closes the rest of its span as a segment.
+  const std::uint64_t counted =
+      collapsed_ && horizon > segment_start_ ? CloseSegment(horizon) : 0;
   prof.AddOps(drawn + counted);
   return drawn;
 }
 
-std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon,
-                                        std::uint64_t* counted) {
+std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon) {
   // Barrier-frozen snapshot: the cursor cannot move during a drain (it
   // only advances in the server's slot decision, which runs after the
   // CatchUpLazySources barrier), so one position serves the whole batch —
@@ -209,15 +205,12 @@ std::uint64_t VirtualClient::DrainSpine(sim::SimTime horizon,
   rng_ = local;
   next_arrival_ = next;
   generated_ += processed;
-  if (full_at != sim::kTimeNever) {
-    EnterCollapse(full_at);
-    if (horizon > full_at) *counted = CloseSegment(horizon);
-  }
+  if (full_at != sim::kTimeNever) EnterCollapse(full_at);
   return processed;
 }
 
 bool VirtualClient::CanCollapse() const {
-  return miss_pages_ && cold_.empty() && server_->FullQueueIsInert();
+  return server_->FullQueueIsInert() && cold_.empty() && miss_pages_;
 }
 
 void VirtualClient::EnterCollapse(sim::SimTime at) {
@@ -260,18 +253,14 @@ std::uint64_t VirtualClient::CloseSegment(sim::SimTime horizon) {
     // slot's e^{-mean} is cached.
     const std::uint64_t n = rng_.NextPoissonByInversion(
         mean, span == 1.0 ? exp_neg_miss_rate_ : std::exp(-mean));
-    if (mf == 0 && mc == 0) {
-      dropped = n;
-    } else {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t u = rng_.NextBounded(total);
-        if (u < mf) {
-          ++filtered;
-        } else if (u < mf + mc) {
-          ++coalesced;
-        } else {
-          ++dropped;
-        }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t u = rng_.NextBounded(total);
+      if (u < mf) {
+        ++filtered;
+      } else if (u < mf + mc) {
+        ++coalesced;
+      } else {
+        ++dropped;
       }
     }
   } else {

@@ -172,10 +172,9 @@ class VirtualClient : public sim::LazySource,
   void Route(PageId page, bool pull, sim::SimTime at);
 
   /// The drain body behind CatchUp: the batched spine, bit-identical to
-  /// OnEvent one candidate at a time (see DESIGN.md).
-  /// A drain that ends in a collapse closes the rest as a segment and
-  /// adds its arrival count to `counted`.
-  std::uint64_t DrainSpine(sim::SimTime horizon, std::uint64_t* counted);
+  /// OnEvent one candidate at a time (see DESIGN.md). Stops at an
+  /// arrival that enters the collapse.
+  std::uint64_t DrainSpine(sim::SimTime horizon);
 
   /// True when the next arrivals may be counted instead of drawn: stream
   /// A exists, no cold clock is pending, and the queue is full and inert.

@@ -88,6 +88,13 @@ std::string SystemConfig::Validate() const {
   }
   if (mc_think_time <= 0.0) return "mc_think_time must be positive";
   if (think_time_ratio <= 0.0) return "think_time_ratio must be positive";
+  // The virtual client issues think_time_ratio / mc_think_time requests
+  // per slot. Its 64-bit counters and the one Poisson draw that counts a
+  // full-queue segment (at most a slot) need that rate bounded.
+  if (think_time_ratio > kMaxVcRequestsPerSlot * mc_think_time) {
+    return "think_time_ratio must be at most 1e9 * mc_think_time: the "
+           "virtual client issues at most 1e9 requests per slot";
+  }
   if (steady_state_perc < 0.0 || steady_state_perc > 1.0) {
     return "steady_state_perc must be in [0,1]";
   }

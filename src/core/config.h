@@ -30,6 +30,10 @@ enum class DeliveryMode {
 /// Name of a delivery mode ("Push", "Pull", "IPP").
 const char* DeliveryModeName(DeliveryMode mode);
 
+/// Ceiling on the virtual client's requests per slot
+/// (think_time_ratio / mc_think_time).
+inline constexpr double kMaxVcRequestsPerSlot = 1e9;
+
 /// Complete description of one simulated configuration. Field defaults are
 /// the paper's Table 3 settings.
 struct SystemConfig {
@@ -68,7 +72,8 @@ struct SystemConfig {
   /// Measured client's fixed think time, in broadcast units.
   double mc_think_time = 20.0;
   /// Virtual-client intensity: VC think time is exponential with mean
-  /// mc_think_time / think_time_ratio.
+  /// mc_think_time / think_time_ratio. At most
+  /// kMaxVcRequestsPerSlot * mc_think_time.
   double think_time_ratio = 10.0;
   /// Fraction of the represented population in steady state.
   double steady_state_perc = 0.95;

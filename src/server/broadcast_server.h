@@ -193,7 +193,7 @@ class BroadcastServer : public sim::EventHandler {
   /// queue is full and no fault injector judges requests one by one.
   /// Until the next pop, arrivals then change nothing but counters.
   bool FullQueueIsInert() const {
-    return injector_ == nullptr && queue_.Full();
+    return queue_.Full() && injector_ == nullptr;
   }
 
   /// Bulk form of that many inert submits (FullQueueIsInert() must hold):

@@ -39,6 +39,7 @@ std::uint64_t Rng::NextPoissonPtrs(double mean) {
   // Hörmann, "The transformed rejection method for generating Poisson
   // random variables" (1993), algorithm PTRS: a transformed-uniform
   // proposal with a squeeze, exact by the final log-pmf comparison.
+  BDISK_CHECK_MSG(mean <= kPoissonMaxMean, "Poisson mean past 2^52");
   const double slam = std::sqrt(mean);
   const double loglam = std::log(mean);
   const double b = 0.931 + 2.53 * slam;

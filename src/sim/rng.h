@@ -88,10 +88,14 @@ class Rng {
   /// Hörmann's transformed rejection (PTRS).
   static constexpr double kPoissonInversionMax = 10.0;
 
-  /// Poisson variate with the given mean (>= 0, finite). Exact for every
-  /// mean: inversion (expected O(mean) steps) below kPoissonInversionMax,
-  /// PTRS (O(1) expected) above, so a count over a huge exposure costs
-  /// the same as a small one.
+  /// Largest mean NextPoisson takes: up to 2^52 every integer near the
+  /// mean is a double, so the variate stays exact.
+  static constexpr double kPoissonMaxMean = 0x1p52;
+
+  /// Poisson variate with the given mean (in [0, kPoissonMaxMean]). Exact
+  /// for every mean: inversion (expected O(mean) steps) below
+  /// kPoissonInversionMax, PTRS (O(1) expected) above, so a count over a
+  /// huge exposure costs the same as a small one.
   std::uint64_t NextPoisson(double mean) {
     BDISK_DCHECK(mean >= 0.0);
     if (mean < kPoissonInversionMax) {

@@ -137,6 +137,21 @@ TEST(ConfigTest, RejectsUpdateRateAboveTheDatabaseSize) {
   EXPECT_EQ(config.Validate().find("update_rate"), std::string::npos);
 }
 
+// The virtual client's request rate is capped at 1e9 per slot; the
+// error names the key and the ceiling.
+TEST(ConfigTest, RejectsThinkTimeRatioAboveTheRequestCeiling) {
+  SystemConfig config;
+  config.think_time_ratio = kMaxVcRequestsPerSlot * config.mc_think_time;
+  EXPECT_EQ(config.Validate(), "");
+  config.think_time_ratio = 1e300;
+  EXPECT_EQ(config.Validate(),
+            "think_time_ratio must be at most 1e9 * mc_think_time: the "
+            "virtual client issues at most 1e9 requests per slot");
+  config.think_time_ratio = 250.0;
+  config.mc_think_time = 1e-300;
+  EXPECT_NE(config.Validate().find("think_time_ratio"), std::string::npos);
+}
+
 TEST(ConfigTest, ExplicitOffsetOverridesDefault) {
   SystemConfig config;
   config.offset = 0;

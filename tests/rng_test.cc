@@ -263,5 +263,15 @@ TEST(RngTest, PoissonFirstDraws) {
                                             std::end(kPinned)));
 }
 
+// Up to 2^52 every integer near the mean is a double; past it the variate
+// would not be exact (nor, far enough, fit 64 bits), so the draw refuses.
+TEST(RngDeathTest, PoissonRejectsMeansPastItsExactRange) {
+  Rng rng(38);
+  const double mean = Rng::kPoissonMaxMean;
+  EXPECT_NEAR(static_cast<double>(rng.NextPoisson(mean)), mean,
+              10.0 * std::sqrt(mean));
+  EXPECT_DEATH(rng.NextPoisson(1e20), "2\\^52");
+}
+
 }  // namespace
 }  // namespace bdisk::sim

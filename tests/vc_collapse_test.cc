@@ -6,7 +6,8 @@
 // so it is checked against a VC that draws every arrival (FullDrawVc)
 // driving the same server, MUX and queue: per-window filtered, coalesced
 // and dropped counts, and the queue depth at the window edges, by
-// two-sample KS and a Welch z on the means (0.001 level, fixed seeds).
+// two-sample KS, a two-sample chi-square on their histograms and a Welch z
+// on the means (0.001 level, fixed seeds).
 // No observer is attached, so the collapsed VC books its counts in bulk —
 // the path the benchmark runs.
 //
@@ -14,10 +15,12 @@
 // per-arrival VC pinned from many seeds.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,6 +169,46 @@ void ExpectSameDistribution(std::vector<double> a, std::vector<double> b,
   EXPECT_LT(d, 1.949 * std::sqrt((n + m) / (n * m))) << what << " (KS)";
 }
 
+// Two-sample chi-square on the histogram of values, at the 0.001 level.
+// Adjacent values are pooled into bins of at least 10 observations of both
+// samples together; a series with a single bin (the queue depth of a queue
+// that is always full) has nothing to compare beyond its mean.
+void ExpectSameHistogram(const std::vector<double>& a,
+                         const std::vector<double>& b, const char* what) {
+  std::vector<std::pair<double, int>> pooled;  // (value, sample).
+  for (const double x : a) pooled.emplace_back(x, 0);
+  for (const double x : b) pooled.emplace_back(x, 1);
+  std::sort(pooled.begin(), pooled.end());
+  std::vector<std::array<double, 2>> bins;
+  std::array<double, 2> bin{0.0, 0.0};
+  for (std::size_t i = 0; i < pooled.size(); ++i) {
+    ++bin[pooled[i].second];
+    const bool value_ends = i + 1 == pooled.size() ||
+                            pooled[i + 1].first != pooled[i].first;
+    if (value_ends && bin[0] + bin[1] >= 10.0) {
+      bins.push_back(bin);
+      bin = {0.0, 0.0};
+    }
+  }
+  if (!bins.empty()) {  // A short last run joins the bin before it.
+    bins.back()[0] += bin[0];
+    bins.back()[1] += bin[1];
+  }
+  if (bins.size() < 2) return;
+  const double n = static_cast<double>(a.size());
+  const double m = static_cast<double>(b.size());
+  double chi2 = 0.0;
+  for (const auto& [x, y] : bins) {
+    const double d = std::sqrt(m / n) * x - std::sqrt(n / m) * y;
+    chi2 += d * d / (x + y);
+  }
+  // The 0.999 quantile of chi-square(df), by Wilson-Hilferty.
+  const double df = static_cast<double>(bins.size() - 1);
+  const double h = 2.0 / (9.0 * df);
+  const double critical = df * std::pow(1.0 - h + 3.09 * std::sqrt(h), 3);
+  EXPECT_LT(chi2, critical) << what << " (chi-square, " << df << " df)";
+}
+
 // Welch z on the two samples' means, at the 0.001 level.
 void ExpectSameMean(const std::vector<double>& a, const std::vector<double>& b,
                     const char* what) {
@@ -212,6 +255,7 @@ void ExpectSameWindows(const Case& c, std::uint64_t seed) {
   for (const auto& s : series) {
     ExpectSameMean(s.a, s.b, s.name);
     ExpectSameDistribution(s.a, s.b, s.name);
+    ExpectSameHistogram(s.a, s.b, s.name);
   }
 }
 
