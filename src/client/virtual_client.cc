@@ -289,28 +289,42 @@ void VirtualClient::ExpandSegment(sim::SimTime horizon,
                                   std::uint64_t filtered,
                                   std::uint64_t coalesced,
                                   std::uint64_t dropped) {
-  // Given the counts, the arrivals of each class are iid uniform in the
-  // segment, with pages from w restricted to the class: sample exactly
-  // that, from record_rng_, and route each record like a drawn arrival
-  // (the queue then coalesces or drops it, as its class says).
+  // Given the counts, the arrivals are iid uniform in the segment, their
+  // classes a uniformly random arrangement of the counts, and each page is
+  // drawn from w restricted to its class. Sample exactly that, from
+  // record_rng_, one record at a time in time order (O(1) memory at any
+  // count), and route each like a drawn arrival (the queue then coalesces
+  // or drops it, as its class says). Times come from the descending order
+  // statistics of k uniforms: the largest is V^{1/k}, and each next one is
+  // the last times V^{1/k} with one fewer left.
   enum : std::uint8_t { kFiltered, kCoalesced, kDropped };
   const double span = horizon - segment_start_;
-  records_.clear();
-  const auto add = [&](std::uint64_t count, std::uint8_t cls) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      records_.emplace_back(horizon - span * record_rng_.NextDouble(), cls);
-    }
-  };
-  add(filtered, kFiltered);
-  add(coalesced, kCoalesced);
-  add(dropped, kDropped);
-  std::sort(records_.begin(), records_.end());
   const server::PullQueue& queue = server_->queue();
   const auto class_of = [&](PageId page) -> std::uint8_t {
     if (split_.IsFiltered(page)) return kFiltered;
     return queue.IsQueued(page) ? kCoalesced : kDropped;
   };
-  for (const auto& [at, cls] : records_) {
+  double u = 1.0;
+  for (std::uint64_t left = filtered + coalesced + dropped; left > 0;
+       --left) {
+    u *= std::pow(record_rng_.NextDouble(),
+                  1.0 / static_cast<double>(left));
+    // Rounding can put u at 1 for huge counts; keep the record inside
+    // (segment_start_, horizon].
+    const sim::SimTime at = std::max(
+        horizon - span * u, std::nextafter(segment_start_, sim::kTimeNever));
+    const std::uint64_t pick = record_rng_.NextBounded(left);
+    std::uint8_t cls;
+    if (pick < filtered) {
+      cls = kFiltered;
+      --filtered;
+    } else if (pick < filtered + coalesced) {
+      cls = kCoalesced;
+      --coalesced;
+    } else {
+      cls = kDropped;
+      --dropped;
+    }
     PageId page;
     do {
       page = static_cast<PageId>(miss_pages_->Sample(record_rng_));

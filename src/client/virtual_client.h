@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "broadcast/distance_snapshot.h"
@@ -236,7 +235,6 @@ class VirtualClient : public sim::LazySource,
   double miss_rate_ = 0.0;
   double exp_neg_miss_rate_ = 1.0;
   sim::Rng record_rng_;
-  std::vector<std::pair<sim::SimTime, std::uint8_t>> records_;
 
   std::uint64_t generated_ = 0;
   std::uint64_t filtered_ = 0;

@@ -149,21 +149,22 @@ TEST(KernelMatrixTest, TrajectoryInvariantAcrossQueueAndBatching) {
 }
 
 TEST(KernelMatrixTest, TrajectoryInvariantUnfused) {
-  // The unfused VC path schedules every drawn arrival as a one-shot —
-  // far more churn through the heap, and spans break at every arrival. A
-  // heavier VC (think-time ratio 250) makes arrivals outnumber slots; the
+  // The unfused VC path schedules every arrival as a one-shot — far more
+  // churn through the heap, and spans break at every arrival. A heavier
+  // VC (think-time ratio 250) makes arrivals outnumber slots; the
   // reference must really take that path and still match the fused cell.
-  // The queue is full most of the time at this load, so most arrivals
-  // are counted by the full-queue collapse, not drawn: they outnumber
-  // slots only together with the drawn ones.
+  // The queue has room for more pages than the database holds, so it
+  // never fills, the full-queue collapse never engages and every arrival
+  // is drawn (TrajectoryInvariantWithSaturatedQueue covers the collapse).
   core::SystemConfig config = SmallLoadedConfig();
   config.think_time_ratio = 250.0;
+  config.server_queue_size = config.server_db_size + 1;
   const std::vector<core::RunResult> results = ExpectMatrixInvariant(config);
   ASSERT_EQ(results.size(), 2U);
   const core::RunResult& fused = results[0];
   const core::RunResult& unfused = results[1];
-  EXPECT_GT(fused.vc_requests_generated, fused.kernel.periodic_rearms);
-  EXPECT_GT(fused.kernel.lazy_arrivals_fused, 0U);
+  EXPECT_EQ(fused.vc_requests_generated, fused.kernel.lazy_arrivals_fused);
+  EXPECT_GT(fused.kernel.lazy_arrivals_fused, fused.kernel.periodic_rearms);
   EXPECT_EQ(unfused.kernel.events_executed,
             fused.kernel.events_executed + fused.kernel.lazy_arrivals_fused);
   EXPECT_GT(unfused.kernel.periodic_spans, fused.kernel.periodic_spans);

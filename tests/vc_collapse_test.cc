@@ -29,6 +29,7 @@
 #include "client/virtual_client.h"
 #include "core/system.h"
 #include "full_draw_vc.h"
+#include "obs/trace_sink.h"
 #include "server/broadcast_server.h"
 #include "server/update_generator.h"
 #include "sim/simulator.h"
@@ -438,6 +439,55 @@ TEST(VcCollapseTest, SystemStatisticsMatchPerArrivalPins) {
           << kNames[i] << ": " << mean << " vs pinned " << pinned[i].mean;
     }
   }
+}
+
+// At a huge load every slot is one segment of ~2e4 arrivals, so the counts
+// come from the large-mean Poisson sampler and, with a trace attached,
+// each segment is expanded into that many records one at a time. The
+// expansion must leave every counter as the unobserved run has it, give
+// every counted submit one record, and keep the VC's records in time
+// order.
+TEST(VcCollapseTest, ObserverRecordsAtHugeLoadMatchTheCounts) {
+  core::SystemConfig config;
+  config.think_time_ratio = 2e4 * config.mc_think_time;
+  ASSERT_EQ(config.Validate(), "");
+  core::SteadyStateProtocol protocol;
+  protocol.min_measured_accesses = std::numeric_limits<std::uint64_t>::max();
+  protocol.max_measured_accesses = std::numeric_limits<std::uint64_t>::max();
+  protocol.max_fill_accesses = 10;
+  protocol.post_fill_accesses = 2;
+  protocol.max_sim_time = 100.0;
+
+  const core::RunResult plain = core::System(config).RunSteadyState(protocol);
+  core::System observed(config);
+  obs::TraceSink sink(1 << 12);
+  observed.AttachTrace(&sink);
+  const core::RunResult traced = observed.RunSteadyState(protocol);
+
+  EXPECT_GT(plain.vc_requests_generated, 500000U);
+  EXPECT_LT(observed.simulator().FusedArrivals(),
+            plain.vc_requests_generated / 1000);
+  EXPECT_EQ(traced.vc_requests_generated, plain.vc_requests_generated);
+  EXPECT_EQ(traced.vc_submitted, plain.vc_submitted);
+  EXPECT_EQ(traced.requests_submitted, plain.requests_submitted);
+  EXPECT_EQ(traced.requests_coalesced, plain.requests_coalesced);
+  EXPECT_EQ(traced.requests_dropped, plain.requests_dropped);
+  EXPECT_EQ(traced.mean_response, plain.mean_response);
+  EXPECT_EQ(traced.sim_time_end, plain.sim_time_end);
+  EXPECT_EQ(sink.Count(obs::SpanEvent::kSubmitAccepted) +
+                sink.Count(obs::SpanEvent::kSubmitCoalesced) +
+                sink.Count(obs::SpanEvent::kSubmitDropped),
+            traced.requests_submitted);
+
+  sim::SimTime last = 0.0;
+  std::size_t vc_records = 0;
+  for (const obs::SpanRecord& r : sink.Events()) {
+    if (r.client != obs::kVirtualClientId) continue;
+    EXPECT_GE(r.time, last);
+    last = r.time;
+    ++vc_records;
+  }
+  EXPECT_GT(vc_records, 1000U);
 }
 
 }  // namespace
